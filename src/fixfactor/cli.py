@@ -8,8 +8,7 @@ reflexively and transitively on load and unknown fields are rejected.
 
 Exit codes: 0 success, 1 a verification check failed (the report carries
 a counterexample), 2 usage or input-format errors.  All output is
-deterministic; the environment variable FIXFACTOR_SEED is reserved but
-unused because nothing here is randomized.
+deterministic.
 """
 
 from __future__ import annotations
@@ -68,11 +67,14 @@ def system_from_json(raw: dict, where: str = "<input>") -> FiniteSystem:
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise FormatError(f"{where}: field 'points' must be a list of strings")
     if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in pairs
+        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+        for p in pairs
     ):
-        raise FormatError(f"{where}: field 'specializes' must be a list of pairs")
-    if not isinstance(mapping, dict):
-        raise FormatError(f"{where}: field 'map' must be an object")
+        raise FormatError(f"{where}: field 'specializes' must be a list of string pairs")
+    if not isinstance(mapping, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
+    ):
+        raise FormatError(f"{where}: field 'map' must be an object of strings")
     return build_system(points, [tuple(p) for p in pairs], mapping)
 
 
@@ -307,6 +309,13 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fixfactor",
@@ -359,7 +368,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", default="all",
                    help="comma-separated check names, or 'all'")
     p.add_argument("--up-to-iso", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--counterexample-dir")
 
     p = add("export-dot", cmd_export_dot, help="DOT graph of a system")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CoverError, InvarianceError, SizeLimitError
+from .errors import CoverError, InternalError, InvarianceError, SizeLimitError
 from .ordinals import OrdinalCNF
 from .topology import (
     FiniteSpace,
@@ -29,6 +29,7 @@ from .topology import (
 )
 
 REFERENCE_BOUND = 12
+SUCC_REFERENCE_BOUND = 8  # "succ" makes 2^n x 2^n passes where "base" makes 2^n
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,14 @@ class Partition:
 
 
 def generated_partition(space: FiniteSpace, cover: list[PointSet] | list[int]) -> Partition:
-    """Finest equivalence merging overlapping cover members (x in K_x)."""
+    """Finest equivalence merging overlapping cover members (x in K_x).
+
+    Every member contains its own point, so merging the owners of each
+    point gives the same classes as merging each member's points with one
+    another.  A union-find over the set bits of the distinct members does
+    that in O(sum of member sizes) unions, where a scan of every member
+    for every point would take n^2.
+    """
     masks = [c.mask if isinstance(c, PointSet) else c for c in cover]
     n = space.n
     if len(masks) != n:
@@ -124,15 +132,10 @@ def generated_partition(space: FiniteSpace, cover: list[PointSet] | list[int]) -
             a = parent[a]
         return a
 
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for z in range(n):
-        owners = [i for i in range(n) if masks[i] >> z & 1]
-        for i in owners[1:]:
-            union(owners[0], i)
+    for m in set(masks):
+        root = find((m & -m).bit_length() - 1)
+        for j in _iter_bits(m & (m - 1)):
+            parent[find(j)] = root
     return Partition.from_class_of(space, [find(i) for i in range(n)])
 
 
@@ -202,13 +205,17 @@ def aorb_succ(sys: FiniteSystem, p: Partition, x: str) -> PointSet:
 
 def reference_intersection(sys: FiniteSystem, mode: str, x: str,
                            p: Partition | None = None,
-                           bound: int = REFERENCE_BOUND) -> PointSet:
+                           bound: int | None = None) -> PointSet:
     """Definition-direct oracle for aorb0 / aorb_succ.
 
     mode="base": intersect all closed invariant neighborhoods of x.
     mode="succ": intersect, over all open P-saturated U containing x, the
     least closed P-saturated superset of U (enumerated, not collapsed).
+    The size bound defaults to ``REFERENCE_BOUND`` for "base" and to the
+    smaller ``SUCC_REFERENCE_BOUND`` for "succ".
     """
+    if bound is None:
+        bound = REFERENCE_BOUND if mode == "base" else SUCC_REFERENCE_BOUND
     space = sys.space
     if space.n > bound:
         raise SizeLimitError(f"{space.n} points exceeds enumeration bound {bound}")
@@ -249,13 +256,20 @@ def class_invariant(sys: FiniteSystem, mask: int) -> bool:
 
 
 def degree_step(sys: FiniteSystem, p: Partition) -> Partition:
-    """One successor step: regenerate the equivalence from degree-(d+1) orbits."""
+    """One successor step: regenerate the equivalence from degree-(d+1) orbits.
+
+    The successor orbit of a point begins by saturating the point into its
+    class, so it is the same for every member of a class: it is computed
+    once per class, from the least member, which makes the step cost one
+    orbit per class instead of one per point.
+    """
     for m in p.classes:
         if not class_invariant(sys, m):
             raise InvarianceError(
                 f"class {sys.space.names(m)} is not forward-invariant"
             )
-    return generated_partition(sys.space, [aorb_succ_mask(sys, p, i) for i in range(sys.n)])
+    orbits = [aorb_succ_mask(sys, p, (m & -m).bit_length() - 1) for m in p.classes]
+    return generated_partition(sys.space, [orbits[c] for c in p.class_of])
 
 
 @dataclass(frozen=True)
@@ -296,7 +310,7 @@ def stabilize(sys: FiniteSystem) -> DegreeTrace:
         if q.same_blocks(p):
             return DegreeTrace(tuple(entries), OrdinalCNF.from_int(d - 1))
         p = q
-    raise AssertionError("partition failed to stabilize within |K| steps")
+    raise InternalError("partition failed to stabilize within |K| steps")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ class FixfactorError(Exception):
         self.message = message
 
 
+class InternalError(FixfactorError):
+    """An internal invariant failed: a fault in fixfactor, not in the input.
+
+    Keeps the default code ``E_INTERNAL``.
+    """
+
+
 class UnknownNameError(FixfactorError):
     """Duplicate or unknown point identifier."""
 

@@ -19,7 +19,7 @@ from .decomposition import (
     sorb_closure_mask,
     stabilize,
 )
-from .errors import CoverError, OrdinalError, SizeLimitError
+from .errors import CoverError, InternalError, OrdinalError, SizeLimitError
 from .ordinals import OrdinalCNF
 from .topology import FiniteSystem, PointSet, _iter_bits
 
@@ -170,10 +170,10 @@ def finest_abs_stable_partition(sys: FiniteSystem,
         if all(class_ok(m) for m in masks.values()):
             candidates.append(Partition.from_class_of(sys.space, list(rgs)))
     if not candidates:
-        raise AssertionError("no partition into absolutely stable classes exists")
+        raise InternalError("no partition into absolutely stable classes exists")
     finest = [p for p in candidates if all(p.refines(q) for q in candidates)]
     if not finest:
-        raise AssertionError(
+        raise InternalError(
             "absolutely stable partitions have no finest element"
         )
     return finest[0]

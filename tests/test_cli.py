@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fixfactor
 from fixfactor.cli import (
     load_system,
     main,
     system_from_json,
     system_to_json,
 )
+from fixfactor.decomposition import Partition
 from fixfactor.errors import FormatError
 from fixfactor.systems import discrete_swap_plus_fixed
 
@@ -141,6 +147,41 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("raw", [
+    {"points": ["a"], "specializes": [], "map": {"a": ["a"]}},
+    {"points": ["a", "b"], "specializes": [[["a"], "b"]], "map": {"a": "a", "b": "b"}},
+])
+def test_malformed_types_are_format_errors(tmp_path, raw):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    src = Path(fixfactor.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fixfactor.cli", "decompose", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error[E_FORMAT]")
+    assert "Traceback" not in proc.stderr
+
+
+def test_census_rejects_jobs_below_one(capsys):
+    assert main(["census", "--points", "1", "--jobs", "0"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_internal_failure_reported_without_traceback(swap_file, capsys, monkeypatch):
+    import fixfactor.decomposition as dec
+
+    def never_stationary(sys_, p):
+        if p.num_classes == sys_.n:
+            return Partition.one_class(sys_.space)
+        return Partition.identity(sys_.space)
+
+    monkeypatch.setattr(dec, "degree_step", never_stationary)
+    assert main(["decompose", swap_file]) == 2
+    assert capsys.readouterr().err.startswith("error[E_INTERNAL]")
+
+
 def test_system_json_round_trip():
     sys_ = discrete_swap_plus_fixed()
     raw = system_to_json(sys_)
@@ -158,6 +199,10 @@ def test_system_json_field_validation():
         system_from_json({"points": "a", "specializes": [], "map": {}})
     with pytest.raises(FormatError):
         system_from_json([1, 2])
+    with pytest.raises(FormatError):
+        system_from_json({"points": ["a"], "specializes": [], "map": {"a": 1}})
+    with pytest.raises(FormatError):
+        system_from_json({"points": ["a"], "specializes": [], "map": {1: "a"}})
 
 
 def test_report_deterministic(swap_file, capsys):

@@ -2,10 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from fixfactor.census import enumerate_systems, random_systems
 from fixfactor.decomposition import (
+    SUCC_REFERENCE_BOUND,
     Partition,
     aorb0,
+    aorb0_mask,
     aorb_succ,
+    aorb_succ_mask,
     degree_step,
     dim_fix,
     generated_partition,
@@ -21,7 +25,8 @@ from fixfactor.decomposition import (
     sorb_closure,
     stabilize,
 )
-from fixfactor.errors import CoverError, InvarianceError, SizeLimitError
+from fixfactor.errors import CoverError, InternalError, InvarianceError, SizeLimitError
+from fixfactor.ladder import build_ladder, window
 from fixfactor.systems import (
     chain,
     discrete_cycle,
@@ -100,6 +105,16 @@ def test_generated_partition_cycle_cover():
     cover = [aorb0(sys_, p).mask for p in sys_.space.points]
     p = generated_partition(sys_.space, cover)
     assert blocks(p) == {frozenset({"0", "2", "4"}), frozenset({"1", "3", "5"})}
+
+
+def test_generated_partition_transitive_merge():
+    # K_4 = {1, 3, 4} joins {0, 1} and {2, 3} through points it does not
+    # own, and 0, 2 share no member: only the transitive merge links them
+    space = discrete_cycle(6).space
+    cover = [0b000011, 0b000010, 0b001100, 0b001000, 0b011010, 0b100000]
+    p = generated_partition(space, cover)
+    assert p.classes == (0b011111, 0b100000)
+    assert p.same_blocks(quadratic_generated_partition(space, cover))
 
 
 def test_generated_partition_cover_error():
@@ -254,6 +269,14 @@ def test_reference_intersection_size_guard():
         reference_intersection(sys_, "base", "0", bound=4)
 
 
+def test_reference_intersection_succ_has_its_own_bound():
+    sys_ = discrete_cycle(SUCC_REFERENCE_BOUND + 1)
+    p = sorb0_partition(sys_)
+    with pytest.raises(SizeLimitError):
+        reference_intersection(sys_, "succ", "0", p)
+    assert reference_intersection(sys_, "base", "0").mask == aorb0_mask(sys_, 0)
+
+
 # ---------------------------------------------------------- degree_step
 
 
@@ -292,6 +315,88 @@ def test_stabilize_sierpinski_const():
     tr = stabilize(sierpinski("const_a"))
     assert tr.stabilization_degree.as_int() == 0
     assert tr.stationary_partition.num_classes == 1
+
+
+def test_stabilize_failure_is_internal_error(monkeypatch):
+    import fixfactor.decomposition as dec
+
+    def never_stationary(sys_, p):
+        if p.num_classes == sys_.n:
+            return Partition.one_class(sys_.space)
+        return Partition.identity(sys_.space)
+
+    monkeypatch.setattr(dec, "degree_step", never_stationary)
+    with pytest.raises(InternalError) as info:
+        stabilize(discrete_swap_plus_fixed())
+    assert info.value.code == "E_INTERNAL"
+
+
+# ------------------------------- references for the collapsed kernel paths
+
+
+def quadratic_generated_partition(space, cover):
+    """Reference: for every point, merge all cover members that contain it."""
+    masks = [c.mask if isinstance(c, PointSet) else c for c in cover]
+    n = space.n
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for z in range(n):
+        owners = [i for i in range(n) if masks[i] >> z & 1]
+        for i in owners[1:]:
+            ra, rb = find(owners[0]), find(i)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return Partition.from_class_of(space, [find(i) for i in range(n)])
+
+
+def per_point_degree_step(sys_, p):
+    """Reference: one successor orbit per point, merged quadratically."""
+    return quadratic_generated_partition(
+        sys_.space, [aorb_succ_mask(sys_, p, i) for i in range(sys_.n)]
+    )
+
+
+def assert_kernel_matches_references(sys_):
+    space = sys_.space
+    n = sys_.n
+    ref = quadratic_generated_partition(space, [aorb0_mask(sys_, i) for i in range(n)])
+    assert sorb0_partition(sys_).same_blocks(ref)
+    oracle_cover = [space.up[i] | space.down[i] | 1 << sys_.map.img[i] for i in range(n)]
+    assert oracle_partition(sys_).same_blocks(
+        quadratic_generated_partition(space, oracle_cover)
+    )
+    ref_trace = [ref]
+    while len(ref_trace) < 2 or not ref_trace[-1].same_blocks(ref_trace[-2]):
+        ref_trace.append(per_point_degree_step(sys_, ref_trace[-1]))
+    trace = stabilize(sys_)
+    assert len(trace.entries) == len(ref_trace)
+    assert trace.stabilization_degree.as_int() == len(ref_trace) - 2
+    for (_, part), want in zip(trace.entries, ref_trace):
+        assert part.same_blocks(want)
+        assert degree_step(sys_, part).same_blocks(per_point_degree_step(sys_, part))
+
+
+def test_kernel_matches_references_on_census():
+    for n in range(1, 5):
+        for sys_ in enumerate_systems(n):
+            assert_kernel_matches_references(sys_)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_kernel_matches_references_on_random_systems(n):
+    for sys_ in random_systems(n, 200, seed=1000 + n):
+        assert_kernel_matches_references(sys_)
+
+
+def test_kernel_matches_references_on_window_dump():
+    sys_ = window(build_ladder("ramp"), 5, 6).to_finite_system()
+    assert sys_.n == 883
+    assert_kernel_matches_references(sys_)
 
 
 # -------------------------------------------------------------- quotient
