@@ -3,18 +3,23 @@
 Preorders are enumerated recursively: a preorder on n points is the
 induced preorder on the first n-1 points plus a consistent up/down profile
 for the last point.  Each preorder is paired with every monotone self-map.
-The census then replays the named theorem-level checks over every system
-and reports pass/fail counts with replayable counterexamples.
+The census builds one :class:`Analysis` per system (at least one point),
+runs the named theorem-level checks on it, and reports pass/fail counts
+with replayable counterexamples.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .decomposition import (
+    DegreeTrace,
+    Partition,
+    QuotientResult,
     aorb0_mask,
     aorb_succ_mask,
     oracle_partition,
@@ -30,6 +35,7 @@ from .stability import (
     finer_plain_stable_witness,
     finest_abs_stable_partition,
     invariant_core_mask,
+    invariant_core_reference,
     is_absolutely_stable,
     is_stable_plain_mask,
     stable_degree_value_mask,
@@ -47,6 +53,7 @@ from .topology import (
 LABELED_LIMIT = 5
 ISO_LIMIT = 6
 SUBSET_SEED = 20260809
+SATURATION_SAMPLES = 8
 
 _POINT_NAMES = "abcdefgh"
 
@@ -154,20 +161,27 @@ def canonical_form(space: FiniteSpace, m: SelfMap) -> tuple:
 
 
 def enumerate_systems(n: int, up_to_iso: bool = False) -> Iterator[FiniteSystem]:
-    if n > (ISO_LIMIT if up_to_iso else LABELED_LIMIT):
+    """Systems on n points (one per isomorphism class if asked); the size
+    guard runs at the call, before anything is enumerated."""
+    limit = ISO_LIMIT if up_to_iso else LABELED_LIMIT
+    if not 1 <= n <= limit:
         raise SizeLimitError(
-            f"n={n} exceeds the enumeration limit "
-            f"({'iso ' + str(ISO_LIMIT) if up_to_iso else 'labeled ' + str(LABELED_LIMIT)})"
+            f"n={n} is outside the enumeration range 1..{limit} "
+            f"({'iso' if up_to_iso else 'labeled'})"
         )
-    seen: set[tuple] = set()
-    for space in enumerate_preorders(n):
-        for m in monotone_maps(space):
-            if up_to_iso:
-                key = canonical_form(space, m)
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield FiniteSystem(space, m)
+
+    def systems() -> Iterator[FiniteSystem]:
+        seen: set[tuple] = set()
+        for space in enumerate_preorders(n):
+            for m in monotone_maps(space):
+                if up_to_iso:
+                    key = canonical_form(space, m)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                yield FiniteSystem(space, m)
+
+    return systems()
 
 
 def random_systems(n: int, count: int, seed: int = SUBSET_SEED) -> list[FiniteSystem]:
@@ -240,38 +254,51 @@ class CensusReport:
         }
 
 
-def _all_nonempty_submasks(full: int) -> Iterator[int]:
-    for m in range(1, full + 1):
-        yield m
+@dataclass(frozen=True)
+class Analysis:
+    """Everything the checks read about one system, each derived once; the
+    quotient and the finest absolutely stable partition on first use."""
+
+    sys: FiniteSystem
+    trace: DegreeTrace
+    oracle: Partition
+
+    @functools.cached_property
+    def quotient(self) -> QuotientResult:
+        return quotient(self.sys, self.trace.stationary_partition)
+
+    @functools.cached_property
+    def finest(self) -> Partition:
+        return finest_abs_stable_partition(self.sys, trace=self.trace)
 
 
-def check_oracle_equivalence(sys: FiniteSystem) -> str | None:
-    trace = stabilize(sys)
-    if not trace.stationary_partition.same_blocks(oracle_partition(sys)):
+def analyze(sys: FiniteSystem) -> Analysis:
+    return Analysis(sys, stabilize(sys), oracle_partition(sys))
+
+
+def check_oracle_equivalence(a: Analysis) -> str | None:
+    if not a.trace.stationary_partition.same_blocks(a.oracle):
         return "stationary partition differs from the level-set oracle"
     return None
 
 
-def check_quotient_discrete(sys: FiniteSystem) -> str | None:
-    trace = stabilize(sys)
-    q = quotient(sys, trace.stationary_partition)
-    if not is_discrete(q.quotient.space):
+def check_quotient_discrete(a: Analysis) -> str | None:
+    if not is_discrete(a.quotient.quotient.space):
         return "quotient by the stationary partition is not discrete"
-    if not trace.stationary_partition.same_blocks(oracle_partition(sys)):
+    if not a.trace.stationary_partition.same_blocks(a.oracle):
         return "stationary classes are not the maximal level sets"
     return None
 
 
-def check_stabilization_zero(sys: FiniteSystem) -> str | None:
-    trace = stabilize(sys)
-    if trace.stabilization_degree.as_int() != 0:
-        return f"stabilized at degree {trace.stabilization_degree}"
+def check_stabilization_zero(a: Analysis) -> str | None:
+    if a.trace.stabilization_degree.as_int() != 0:
+        return f"stabilized at degree {a.trace.stabilization_degree}"
     return None
 
 
-def check_definition_direct(sys: FiniteSystem) -> str | None:
-    trace = stabilize(sys)
-    p = trace.stationary_partition
+def check_definition_direct(a: Analysis) -> str | None:
+    sys = a.sys
+    p = a.trace.stationary_partition
     for x in sys.space.points:
         if aorb0_mask(sys, sys.space.idx(x)) != reference_intersection(sys, "base", x).mask:
             return f"aorb0({x}) differs from the definition-direct intersection"
@@ -281,9 +308,9 @@ def check_definition_direct(sys: FiniteSystem) -> str | None:
     return None
 
 
-def check_trace_monotone(sys: FiniteSystem) -> str | None:
-    trace = stabilize(sys)
-    for (d1, p1), (d2, p2) in zip(trace.entries, trace.entries[1:]):
+def check_trace_monotone(a: Analysis) -> str | None:
+    entries = a.trace.entries
+    for (d1, p1), (d2, p2) in zip(entries, entries[1:]):
         if not (d1 < d2):
             return "trace degrees are not strictly increasing"
         if not p1.refines(p2):
@@ -291,69 +318,60 @@ def check_trace_monotone(sys: FiniteSystem) -> str | None:
     return None
 
 
-def check_level_set_refinement(sys: FiniteSystem) -> str | None:
-    oracle = oracle_partition(sys)
-    trace = stabilize(sys)
-    for _, p in trace.entries:
-        if not p.refines(oracle):
+def check_level_set_refinement(a: Analysis) -> str | None:
+    for _, p in a.trace.entries:
+        if not p.refines(a.oracle):
             return "a trace partition does not refine the level-set oracle"
     return None
 
 
-def check_class_invariance(sys: FiniteSystem) -> str | None:
-    trace = stabilize(sys)
-    for _, p in trace.entries:
+def check_class_invariance(a: Analysis) -> str | None:
+    for _, p in a.trace.entries:
         for m in p.classes:
-            if sys.map.image_mask(m) & ~m:
-                return f"class {sys.space.names(m)} is not forward-invariant"
+            if a.sys.map.image_mask(m) & ~m:
+                return f"class {a.sys.space.names(m)} is not forward-invariant"
     return None
 
 
-def check_saturation_equivalences(sys: FiniteSystem, samples: int = 8) -> str | None:
-    trace = stabilize(sys)
-    p = trace.stationary_partition
-    rng = random.Random(SUBSET_SEED + sys.n)
-    full = sys.space.full_mask
-    for _ in range(samples):
+def check_saturation_equivalences(a: Analysis) -> str | None:
+    p = a.trace.stationary_partition
+    rng = random.Random(SUBSET_SEED + a.sys.n)
+    full = a.sys.space.full_mask
+    for _ in range(SATURATION_SAMPLES):
         s = rng.randrange(1, full + 1)
         sat = p.saturate_mask(s)
-        a = sat & ~s == 0        # classes(S) subset of S
-        b = sat == s             # classes(S) == S
-        c = p.is_saturated_mask(s)  # S is a union of classes
-        if not (a == b == c):
-            return f"saturation equivalences fail on {sys.space.names(s)}"
+        sub = sat & ~s == 0             # classes(S) subset of S
+        eq = sat == s                   # classes(S) == S
+        union = p.is_saturated_mask(s)  # S is a union of classes
+        if not (sub == eq == union):
+            return f"saturation equivalences fail on {a.sys.space.names(s)}"
     return None
 
 
-def check_quotient_neighborhood(sys: FiniteSystem) -> str | None:
+def check_quotient_neighborhood(a: Analysis) -> str | None:
     """At stationarity, pulling back the intersection of closed neighborhoods
     of a class in the quotient gives the successor-degree orbit."""
-    trace = stabilize(sys)
-    p = trace.stationary_partition
-    q = quotient(sys, p)
-    qspace = q.quotient.space
-    for x in sys.space.points:
-        cls = q.projection[x]
-        i = qspace.idx(cls)
+    sys = a.sys
+    p = a.trace.stationary_partition
+    qspace = a.quotient.quotient.space
+    for x, c in enumerate(p.class_of):
         acc = qspace.full_mask
         for cand in range(1 << qspace.n):
-            if cand & qspace.up[i] != qspace.up[i]:
+            if cand & qspace.up[c] != qspace.up[c]:
                 continue
             if not qspace.is_closed_mask(cand):
                 continue
             acc &= cand
         pulled = 0
-        for j in _iter_bits(acc):
-            name = qspace.points[j]
-            for orig in sys.space.points:
-                if q.projection[orig] == name:
-                    pulled |= 1 << sys.space.idx(orig)
-        if pulled != aorb_succ_mask(sys, p, sys.space.idx(x)):
-            return f"quotient-neighborhood identity fails at {x}"
+        for j in _iter_bits(acc):  # quotient point j is class j of p
+            pulled |= p.classes[j]
+        if pulled != aorb_succ_mask(sys, p, x):
+            return f"quotient-neighborhood identity fails at {sys.space.points[x]}"
     return None
 
 
-def check_prolongations(sys: FiniteSystem) -> str | None:
+def check_prolongations(a: Analysis) -> str | None:
+    sys = a.sys
     for x in sys.space.points:
         d1 = prolongation_D1(sys, x).mask
         if d1 != aorb0_mask(sys, sys.space.idx(x)):
@@ -367,26 +385,24 @@ def check_prolongations(sys: FiniteSystem) -> str | None:
     return None
 
 
-def check_oracle_classes_absolutely_stable(sys: FiniteSystem) -> str | None:
-    trace = stabilize(sys)
-    for m in oracle_partition(sys).classes:
-        if not is_absolutely_stable(sys, PointSet(sys.space, m), trace):
-            return f"oracle class {sys.space.names(m)} is not absolutely stable"
+def check_oracle_classes_absolutely_stable(a: Analysis) -> str | None:
+    for m in a.oracle.classes:
+        if not is_absolutely_stable(a.sys, PointSet(a.sys.space, m), a.trace):
+            return f"oracle class {a.sys.space.names(m)} is not absolutely stable"
     return None
 
 
-def check_finest_abs_stable(sys: FiniteSystem) -> str | None:
-    finest = finest_abs_stable_partition(sys)
-    if not finest.same_blocks(oracle_partition(sys)):
+def check_finest_abs_stable(a: Analysis) -> str | None:
+    if not a.finest.same_blocks(a.oracle):
         return "finest absolutely-stable partition differs from the oracle"
     return None
 
 
-def check_degree_monotonicity(sys: FiniteSystem) -> str | None:
-    trace = stabilize(sys)
+def check_degree_monotonicity(a: Analysis) -> str | None:
+    sys, trace = a.sys, a.trace
     stab = trace.stabilization_degree.as_int()
     parts = [trace.partition_at(d) for d in range(stab + 1)]
-    for mask in _all_nonempty_submasks(sys.space.full_mask):
+    for mask in range(1, sys.space.full_mask + 1):
         verdicts = [stable_degree_value_mask(sys, p, mask) == mask for p in parts]
         # once false at a lower degree, must stay false above
         for lo in range(len(verdicts)):
@@ -399,17 +415,17 @@ def check_degree_monotonicity(sys: FiniteSystem) -> str | None:
     return None
 
 
-def check_containment_lemma(sys: FiniteSystem) -> str | None:
+def check_containment_lemma(a: Analysis) -> str | None:
     """Containment claims for the degree hierarchy.
 
     For a set stable at degree d, every member's successor-degree orbit at
     degree d stays inside the set; for an absolutely stable set the base
     orbit and base class stay inside as well.
     """
-    trace = stabilize(sys)
+    sys, trace = a.sys, a.trace
     stab = trace.stabilization_degree.as_int()
     base = trace.partition_at(0)
-    for mask in _all_nonempty_submasks(sys.space.full_mask):
+    for mask in range(1, sys.space.full_mask + 1):
         for d in range(stab + 1):
             p = trace.partition_at(d)
             if stable_degree_value_mask(sys, p, mask) == mask:
@@ -435,14 +451,15 @@ def check_containment_lemma(sys: FiniteSystem) -> str | None:
     return None
 
 
-def check_plain_containment_probe(sys: FiniteSystem) -> str | None:
+def check_plain_containment_probe(a: Analysis) -> str | None:
     """Exhaustive probe: does plain stability force base-orbit containment?
 
     On non-Hausdorff finite models it does not (a non-closed stable set can
     miss the closure of a member's orbit), so the census *reports* this
     check rather than requiring it; its counterexamples are expected.
     """
-    for mask in _all_nonempty_submasks(sys.space.full_mask):
+    sys = a.sys
+    for mask in range(1, sys.space.full_mask + 1):
         if not is_stable_plain_mask(sys, mask):
             continue
         for i in _iter_bits(mask):
@@ -454,10 +471,9 @@ def check_plain_containment_probe(sys: FiniteSystem) -> str | None:
     return None
 
 
-def check_invariant_core_reference(sys: FiniteSystem) -> str | None:
-    from .stability import invariant_core_reference
-
-    for mask in _all_nonempty_submasks(sys.space.full_mask):
+def check_invariant_core_reference(a: Analysis) -> str | None:
+    sys = a.sys
+    for mask in range(1, sys.space.full_mask + 1):
         got = invariant_core_mask(sys, mask)
         want = invariant_core_reference(sys, PointSet(sys.space, mask)).mask
         if got != want:
@@ -465,17 +481,17 @@ def check_invariant_core_reference(sys: FiniteSystem) -> str | None:
     return None
 
 
-def check_ergodicity_equivalence(sys: FiniteSystem) -> str | None:
-    trace = stabilize(sys)
-    a = trace.stationary_partition.num_classes == 1
-    b = oracle_partition(sys).num_classes == 1
-    c = finest_abs_stable_partition(sys).num_classes == 1
-    if not (a == b == c):
-        return f"ergodicity equivalences disagree: trace={a} oracle={b} stable={c}"
+def check_ergodicity_equivalence(a: Analysis) -> str | None:
+    by_trace = a.trace.stationary_partition.num_classes == 1
+    by_oracle = a.oracle.num_classes == 1
+    by_stable = a.finest.num_classes == 1
+    if not (by_trace == by_oracle == by_stable):
+        return (f"ergodicity equivalences disagree: trace={by_trace} "
+                f"oracle={by_oracle} stable={by_stable}")
     return None
 
 
-ASSERTED_CHECKS: dict[str, Callable[[FiniteSystem], str | None]] = {
+ASSERTED_CHECKS: dict[str, Callable[[Analysis], str | None]] = {
     "oracle-equivalence": check_oracle_equivalence,
     "quotient-discrete": check_quotient_discrete,
     "stabilization-degree-0": check_stabilization_zero,
@@ -497,68 +513,58 @@ ASSERTED_CHECKS: dict[str, Callable[[FiniteSystem], str | None]] = {
 # Reported checks collect counterexamples without failing the census: the
 # plain-stability probe is expected to find non-closed stable sets on
 # non-Hausdorff models.
-REPORTED_CHECKS: dict[str, Callable[[FiniteSystem], str | None]] = {
+REPORTED_CHECKS: dict[str, Callable[[Analysis], str | None]] = {
     "plain-containment-probe": check_plain_containment_probe,
 }
 
 ALL_CHECK_NAMES = tuple(ASSERTED_CHECKS) + tuple(REPORTED_CHECKS)
 
 
+def evaluate_system(checks: tuple[str, ...], sys: FiniteSystem
+                    ) -> tuple[dict[str, str | None], int, bool, dict | None]:
+    """Analyze one system and run the named checks, looked up at call time.
+
+    Returns the verdict per check (None on a pass), the stabilization
+    degree, the ergodic flag and the finer plainly stable witness payload.
+    """
+    a = analyze(sys)
+    verdicts = {name: (ASSERTED_CHECKS.get(name) or REPORTED_CHECKS[name])(a)
+                for name in checks}
+    w = finer_plain_stable_witness(sys) if sys.n <= 4 else None
+    witness = None if w is None else {
+        "system": system_payload(sys),
+        "witness_classes": [list(c.members()) for c in w.class_sets()],
+    }
+    return (verdicts, a.trace.stabilization_degree.as_int(),
+            a.trace.stationary_partition.num_classes == 1, witness)
+
+
 def run_census(n: int, checks: tuple[str, ...] | None = None,
-               up_to_iso: bool = False, jobs: int = 1,
-               collect_witnesses: bool = True) -> CensusReport:
+               up_to_iso: bool = False, jobs: int = 1) -> CensusReport:
     if checks is None:
         checks = tuple(ASSERTED_CHECKS)
     unknown = [c for c in checks if c not in ASSERTED_CHECKS and c not in REPORTED_CHECKS]
     if unknown:
         raise UnknownNameError(f"unknown checks {unknown}")
-    if n > (ISO_LIMIT if up_to_iso else LABELED_LIMIT):
-        raise SizeLimitError(f"census size {n} exceeds the enumeration limit")
-    outcomes = {name: CheckOutcome(name) for name in checks}
-    histogram: dict[int, int] = {}
-    ergodic_count = 0
-    witnesses: list[dict] = []
-    num_topologies = 0
-    num_systems = 0
-
-    systems: list[FiniteSystem] = []
-    seen: set[tuple] = set()
-    for space in enumerate_preorders(n):
-        num_topologies += 1
-        for m in monotone_maps(space):
-            if up_to_iso:
-                key = canonical_form(space, m)
-                if key in seen:
-                    continue
-                seen.add(key)
-            systems.append(FiniteSystem(space, m))
-
-    def evaluate(sys: FiniteSystem) -> dict[str, str | None]:
-        return {name: _run_check(name, sys) for name in checks}
-
-    results: list[dict[str, str | None]]
+    systems = list(enumerate_systems(n, up_to_iso))
+    run = functools.partial(evaluate_system, checks)
     if jobs > 1:
         import multiprocessing as mp
 
         with mp.Pool(jobs) as pool:
-            results = pool.map(_CheckRunner(checks), systems, chunksize=64)
+            results = pool.map(run, systems, chunksize=64)
     else:
-        results = [evaluate(s) for s in systems]
+        results = list(map(run, systems))
 
-    for sys, verdicts in zip(systems, results):
-        num_systems += 1
-        trace = stabilize(sys)
-        d = trace.stabilization_degree.as_int()
-        histogram[d] = histogram.get(d, 0) + 1
-        if trace.stationary_partition.num_classes == 1:
-            ergodic_count += 1
-        if collect_witnesses and sys.n <= 4:
-            w = finer_plain_stable_witness(sys)
-            if w is not None:
-                witnesses.append({
-                    "system": system_payload(sys),
-                    "witness_classes": [list(c.members()) for c in w.class_sets()],
-                })
+    outcomes = {name: CheckOutcome(name) for name in checks}
+    histogram: dict[int, int] = {}
+    ergodic_count = 0
+    witnesses: list[dict] = []
+    for sys, (verdicts, degree, ergodic, witness) in zip(systems, results):
+        histogram[degree] = histogram.get(degree, 0) + 1
+        ergodic_count += ergodic
+        if witness is not None:
+            witnesses.append(witness)
         for name, msg in verdicts.items():
             out = outcomes[name]
             if msg is None:
@@ -571,28 +577,13 @@ def run_census(n: int, checks: tuple[str, ...] | None = None,
                 })
     return CensusReport(
         points=n,
-        num_topologies=num_topologies,
-        num_systems=num_systems,
+        num_topologies=sum(1 for _ in enumerate_preorders(n)),
+        num_systems=len(systems),
         checks=outcomes,
         stabilization_histogram=histogram,
         ergodic_count=ergodic_count,
         finer_plain_stable_witnesses=witnesses,
     )
-
-
-def _run_check(name: str, sys: FiniteSystem) -> str | None:
-    fn = ASSERTED_CHECKS.get(name) or REPORTED_CHECKS[name]
-    return fn(sys)
-
-
-class _CheckRunner:
-    """Picklable helper for multiprocessing pools."""
-
-    def __init__(self, checks: tuple[str, ...]):
-        self.checks = checks
-
-    def __call__(self, sys: FiniteSystem) -> dict[str, str | None]:
-        return {name: _run_check(name, sys) for name in self.checks}
 
 
 def census_failures(report: CensusReport) -> list[str]:

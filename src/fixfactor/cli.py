@@ -47,6 +47,8 @@ def load_system(path: str) -> FiniteSystem:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path} is not UTF-8 text: byte {e.start}") from e
     except json.JSONDecodeError as e:
         raise FormatError(f"{path} is not valid JSON: line {e.lineno}") from e
     return system_from_json(raw, where=path)
@@ -364,7 +366,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--system-out", help="write the window as a system JSON file")
 
     p = add("census", cmd_census, help="exhaustive verification campaign")
-    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--points", type=positive_int, required=True)
     p.add_argument("--check", default="all",
                    help="comma-separated check names, or 'all'")
     p.add_argument("--up-to-iso", action="store_true")

@@ -118,6 +118,8 @@ def is_absolutely_stable(sys: FiniteSystem, m: PointSet,
 
 
 def stability_report(sys: FiniteSystem, m: PointSet) -> StabilityReport:
+    if not m.mask:
+        raise CoverError("stability is defined for nonempty sets")
     trace = stabilize(sys)
     plain = is_stable_plain(sys, m)
     by_degree = []
@@ -145,7 +147,8 @@ def _iter_partitions(n: int):
 
 
 def finest_abs_stable_partition(sys: FiniteSystem,
-                                bound: int = PARTITION_SEARCH_BOUND) -> Partition:
+                                bound: int = PARTITION_SEARCH_BOUND,
+                                trace: DegreeTrace | None = None) -> Partition:
     """Finest partition whose every class is absolutely stable.
 
     Enumerates restricted growth strings, rejecting a partition at its
@@ -154,7 +157,8 @@ def finest_abs_stable_partition(sys: FiniteSystem,
     n = sys.n
     if n > bound:
         raise SizeLimitError(f"{n} points exceeds partition search bound {bound}")
-    trace = stabilize(sys)
+    if trace is None:
+        trace = stabilize(sys)
     verdict: dict[int, bool] = {}
 
     def class_ok(mask: int) -> bool:

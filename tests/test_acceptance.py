@@ -11,25 +11,10 @@ import time
 import pytest
 
 from fixfactor.census import (
-    check_containment_lemma,
-    check_definition_direct,
-    check_degree_monotonicity,
-    check_ergodicity_equivalence,
-    check_finest_abs_stable,
-    check_oracle_classes_absolutely_stable,
-    check_oracle_equivalence,
-    check_prolongations,
-    check_quotient_discrete,
-    check_stabilization_zero,
-    enumerate_preorders,
-    monotone_maps,
+    ASSERTED_CHECKS,
+    analyze,
+    enumerate_systems,
     random_systems,
-)
-from fixfactor.decomposition import (
-    aorb0_mask,
-    aorb_succ_mask,
-    reference_intersection,
-    stabilize,
 )
 from fixfactor.ladder import (
     build_ladder,
@@ -40,29 +25,26 @@ from fixfactor.ladder import (
 )
 from fixfactor.ladder.window import window_answers_stable
 from fixfactor.ordinals import OMEGA, OrdinalCNF, parse_ordinal
-from fixfactor.topology import FiniteSystem
 
 MAX_N = 4
 W2 = parse_ordinal("w*2")
 
-SHARED_CHECKS = {
-    "quotient-discrete": check_quotient_discrete,
-    "stabilization-degree-0": check_stabilization_zero,
-    "definition-direct": check_definition_direct,
-    "oracle-classes-absolutely-stable": check_oracle_classes_absolutely_stable,
-    "finest-abs-stable": check_finest_abs_stable,
-    "degree-monotonicity": check_degree_monotonicity,
-    "containment-lemma": check_containment_lemma,
-    "ergodicity-equivalence": check_ergodicity_equivalence,
-    "prolongation-identities": check_prolongations,
-}
+SHARED_CHECKS = (
+    "quotient-discrete",
+    "stabilization-degree-0",
+    "definition-direct",
+    "oracle-classes-absolutely-stable",
+    "finest-abs-stable",
+    "degree-monotonicity",
+    "containment-lemma",
+    "ergodicity-equivalence",
+    "prolongation-identities",
+)
 
 
 def census_systems():
     for n in range(1, MAX_N + 1):
-        for space in enumerate_preorders(n):
-            for m in monotone_maps(space):
-                yield FiniteSystem(space, m)
+        yield from enumerate_systems(n)
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +54,9 @@ def shared_census():
     total = 0
     for sys_ in census_systems():
         total += 1
-        for name, fn in SHARED_CHECKS.items():
-            msg = fn(sys_)
+        a = analyze(sys_)
+        for name in SHARED_CHECKS:
+            msg = ASSERTED_CHECKS[name](a)
             if msg is None:
                 results[name]["passed"] += 1
             else:
@@ -95,7 +78,7 @@ def test_criterion_1_oracle_equivalence():
     total = bad = 0
     for sys_ in census_systems():
         total += 1
-        if check_oracle_equivalence(sys_) is not None:
+        if ASSERTED_CHECKS["oracle-equivalence"](analyze(sys_)) is not None:
             bad += 1
     elapsed = time.time() - t0
     report(
@@ -128,17 +111,8 @@ def test_criterion_4_definition_direct(shared_census):
     extra_total = extra_bad = 0
     for sys_ in random_systems(5, 500):
         extra_total += 1
-        trace = stabilize(sys_)
-        p = trace.stationary_partition
-        for x in sys_.space.points:
-            i = sys_.space.idx(x)
-            if aorb0_mask(sys_, i) != reference_intersection(sys_, "base", x).mask:
-                extra_bad += 1
-                break
-            if aorb_succ_mask(sys_, p, i) != \
-                    reference_intersection(sys_, "succ", x, p).mask:
-                extra_bad += 1
-                break
+        if ASSERTED_CHECKS["definition-direct"](analyze(sys_)) is not None:
+            extra_bad += 1
     report(
         4, "collapsed orbit computations match exhaustive intersections",
         r["failed"] == 0 and extra_bad == 0,

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from fixfactor.census import (
@@ -9,6 +11,7 @@ from fixfactor.census import (
     random_systems,
     run_census,
 )
+from fixfactor.cli import main
 from fixfactor.errors import SizeLimitError, UnknownNameError
 from fixfactor.systems import sierpinski
 
@@ -34,6 +37,11 @@ def test_enumerate_systems_size_guard():
         list(enumerate_systems(6))
     with pytest.raises(SizeLimitError):
         list(enumerate_systems(7, up_to_iso=True))
+    for n in (0, -1):
+        with pytest.raises(SizeLimitError):
+            enumerate_systems(n)  # raised at the call, before enumerating
+        with pytest.raises(SizeLimitError):
+            run_census(n)
 
 
 def test_enumerate_systems_deterministic():
@@ -55,10 +63,18 @@ def test_census_n2_all_asserted_pass():
     assert report.stabilization_histogram == {0: report.num_systems}
 
 
-def test_census_deterministic_across_jobs():
-    a = run_census(2, jobs=1).to_json()
-    b = run_census(2, jobs=2).to_json()
-    assert a == b
+# sha256 of the `census --points 3 --check all` report, pinned so that any
+# change to verdicts, histogram, witnesses or counterexamples shows up
+CENSUS_3_SHA256 = "22ca2a47538b70fd5b67deebda6a3076bbf9cd5a1ad99cbce3401f847454efe5"
+
+
+def test_census_deterministic_across_jobs(tmp_path):
+    for jobs in ("1", "2"):
+        out = tmp_path / f"census-{jobs}.json"
+        code = main(["census", "--points", "3", "--check", "all",
+                     "--jobs", jobs, "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_3_SHA256
 
 
 def test_census_unknown_check_rejected():
@@ -69,8 +85,7 @@ def test_census_unknown_check_rejected():
 def test_plain_containment_probe_reports_nonclosed_stable_sets():
     # the probe is reported, not asserted: open non-closed stable sets on
     # non-Hausdorff models legitimately miss the closure of their orbits
-    report = run_census(2, checks=("plain-containment-probe",),
-                        collect_witnesses=False)
+    report = run_census(2, checks=("plain-containment-probe",))
     outcome = report.checks["plain-containment-probe"]
     assert outcome.failed > 0
     reasons = " ".join(c["reason"] for c in outcome.counterexamples)
@@ -81,8 +96,7 @@ def test_plain_containment_probe_reports_nonclosed_stable_sets():
 
 def test_probe_counterexample_found_at_smallest_size():
     # any witness at n=2 means the minimal reported size is 2
-    report = run_census(2, checks=("plain-containment-probe",),
-                        collect_witnesses=False)
+    report = run_census(2, checks=("plain-containment-probe",))
     assert report.checks["plain-containment-probe"].failed > 0
 
 

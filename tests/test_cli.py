@@ -42,6 +42,15 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def run_module(*argv):
+    """Run the CLI in a fresh interpreter, so that a traceback reaches stderr."""
+    src = Path(fixfactor.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "fixfactor.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+
+
 def test_decompose_report(swap_file, capsys):
     code, out = run_cli(capsys, "decompose", swap_file)
     assert code == 0
@@ -154,19 +163,37 @@ def test_exit_codes(tmp_path, capsys):
 def test_malformed_types_are_format_errors(tmp_path, raw):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
-    src = Path(fixfactor.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "fixfactor.cli", "decompose", str(path)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-    )
+    proc = run_module("decompose", str(path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error[E_FORMAT]")
     assert "Traceback" not in proc.stderr
 
 
+def test_undecodable_file_is_format_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    proc = run_module("decompose", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error[E_FORMAT]")
+
+
 def test_census_rejects_jobs_below_one(capsys):
     assert main(["census", "--points", "1", "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_census_rejects_points_below_one(points):
+    proc = run_module("census", "--points", points)
+    assert proc.returncode == 2
+    assert "--points" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("members", ["", ","])
+def test_lyapunov_rejects_empty_set(swap_file, capsys, members):
+    assert main(["lyapunov", swap_file, "--set", members]) == 2
+    assert capsys.readouterr().err.startswith("error[E_COVER]")
 
 
 def test_internal_failure_reported_without_traceback(swap_file, capsys, monkeypatch):
