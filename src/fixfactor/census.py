@@ -212,6 +212,13 @@ def system_payload(sys: FiniteSystem) -> dict:
     }
 
 
+# Counterexamples per check: a report emits the first REPORTED ones,
+# ``--counterexample-dir`` writes the first KEPT ones, and the census keeps
+# no more than that while still counting every failure.
+REPORTED_COUNTEREXAMPLES = 5
+KEPT_COUNTEREXAMPLES = 10
+
+
 @dataclass
 class CheckOutcome:
     name: str
@@ -242,7 +249,7 @@ class CensusReport:
                 name: {
                     "passed": c.passed,
                     "failed": c.failed,
-                    "counterexamples": c.counterexamples[:5],
+                    "counterexamples": c.counterexamples[:REPORTED_COUNTEREXAMPLES],
                 }
                 for name, c in sorted(self.checks.items())
             },
@@ -530,7 +537,7 @@ def evaluate_system(checks: tuple[str, ...], sys: FiniteSystem
     a = analyze(sys)
     verdicts = {name: (ASSERTED_CHECKS.get(name) or REPORTED_CHECKS[name])(a)
                 for name in checks}
-    w = finer_plain_stable_witness(sys) if sys.n <= 4 else None
+    w = finer_plain_stable_witness(sys, oracle=a.oracle) if sys.n <= 4 else None
     witness = None if w is None else {
         "system": system_payload(sys),
         "witness_classes": [list(c.members()) for c in w.class_sets()],
@@ -571,10 +578,11 @@ def run_census(n: int, checks: tuple[str, ...] | None = None,
                 out.passed += 1
             else:
                 out.failed += 1
-                out.counterexamples.append({
-                    "system": system_payload(sys),
-                    "reason": msg,
-                })
+                if len(out.counterexamples) < KEPT_COUNTEREXAMPLES:
+                    out.counterexamples.append({
+                        "system": system_payload(sys),
+                        "reason": msg,
+                    })
     return CensusReport(
         points=n,
         num_topologies=sum(1 for _ in enumerate_preorders(n)),

@@ -295,7 +295,7 @@ def cmd_census(args) -> int:
         outdir = Path(args.counterexample_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         for name, outcome in report.checks.items():
-            for i, ce in enumerate(outcome.counterexamples[:10]):
+            for i, ce in enumerate(outcome.counterexamples):
                 path = outdir / f"{name}-{i}.json"
                 path.write_text(
                     json.dumps(ce["system"], indent=2, sort_keys=True) + "\n",

@@ -22,8 +22,9 @@ stabilization pipeline, which would collapse any truncation to degree 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from ..errors import CoverError
+from ..errors import CoverError, SizeLimitError
 from ..ordinals import OrdinalCNF
 from .space import Addr, LadderSpace, TOP, base_addr, child_term
 from .sets import SymbolicSet, ladder_aorb0_addr, point_sources
@@ -54,13 +55,15 @@ class Window:
     frontier: frozenset[Addr]
     strand_paths: tuple[tuple, ...]
     family_nodes: dict[tuple, int] = field(default_factory=dict)  # path -> max index
-    _addr_set: frozenset | None = field(default=None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def addr_set(self) -> frozenset:
-        if self._addr_set is None:
-            self._addr_set = frozenset(self.addrs)
-        return self._addr_set
+        return frozenset(self.addrs)
+
+    @cached_property
+    def nonfrontier(self) -> frozenset:
+        """The points whose neighborhood and image data are complete."""
+        return self.addr_set - self.frontier
 
     def names(self) -> list[str]:
         return [self.space.render(a) for a in self.addrs]
@@ -183,6 +186,10 @@ class Window:
         }
 
 
+# Largest window, top point included, that ``window`` materializes.
+WINDOW_POINT_CAP = 50_000
+
+
 def _enumerate(term: LadderTerm, budget: int, j_cut: int):
     """Addresses of the half-open space within the index budget."""
     if term.kind == "strand":
@@ -209,15 +216,37 @@ def _collect_nodes(term: LadderTerm, path: tuple, budget: int,
                        budget - m, families, strands)
 
 
+def _count_points(term: LadderTerm, budget: int, j_cut: int, limit: int) -> int:
+    """Number of addresses ``_enumerate`` yields, or a number above
+    ``limit`` as soon as the running total passes it."""
+    if term.kind == "strand":
+        return 2 * j_cut + 2
+    axis = "copy" if term.kind == "cat" else "block"
+    total = 0
+    for m in range(budget + 1):
+        total += _count_points(child_term(term, (axis, m)), budget - m, j_cut,
+                               limit - total)
+        if total > limit:
+            break
+    return total
+
+
 def window(space: LadderSpace, family_cut: int, strand_cut: int) -> Window:
     """Materialize the finite corner of the space within the cuts.
 
     The family cut bounds the sum of family indices along an address, so
     nested terms stay polynomial in size; on a single-axis space it is
-    simply the largest materialized index.
+    simply the largest materialized index.  Windows of more than
+    ``WINDOW_POINT_CAP`` points are refused before anything is built.
     """
     if family_cut < 1 or strand_cut < 1:
         raise CoverError("window cuts must be at least 1")
+    if 1 + _count_points(space.term, family_cut, strand_cut,
+                         WINDOW_POINT_CAP) > WINDOW_POINT_CAP:
+        raise SizeLimitError(
+            f"window of {space.term} at cuts ({family_cut},{strand_cut}) has "
+            f"more than {WINDOW_POINT_CAP} points"
+        )
     addrs = sorted(_enumerate(space.term, family_cut, strand_cut),
                    key=_addr_sort_key)
     addrs.append(TOP)
@@ -231,12 +260,15 @@ def window(space: LadderSpace, family_cut: int, strand_cut: int) -> Window:
             a = p + (("z", j),)
             if a in addr_set:
                 frontier.add(a)
-    for path, maxm in families.items():
-        axis = "block" if space.subterm(path).kind == "ramp" else "copy"
-        last = path + ((axis, maxm),)
-        for a in addr_set:
-            if a != TOP and a[: len(last)] == last:
-                frontier.add(a)
+    # the last member of every family, in full: an address lies in it when
+    # one of its proper prefixes ends on that member
+    lasts = {
+        path + (("block" if space.subterm(path).kind == "ramp" else "copy", maxm),)
+        for path, maxm in families.items()
+    }
+    for a in addrs:
+        if any(a[:k] in lasts for k in range(1, len(a))):
+            frontier.add(a)
     return Window(space, family_cut, strand_cut, tuple(addrs),
                   frozenset(frontier), tuple(strands), families)
 
@@ -284,7 +316,6 @@ def check_orbit_set(win: Window, addr: Addr, claimed: SymbolicSet,
     space = win.space
     name = space.render(addr)
     decoded = _decode(claimed, win)
-    nonfrontier = win.addr_set - win.frontier
     report.checks_run += 1
     if addr not in decoded:
         report.violations.append(f"aorb0({name}): does not contain its own point")
@@ -310,7 +341,7 @@ def check_orbit_set(win: Window, addr: Addr, claimed: SymbolicSet,
             )
     # pointwise agreement with the direct recomputation off the frontier
     recomputed = win.aorb0_w(addr)
-    for a in (recomputed ^ decoded) & nonfrontier:
+    for a in (recomputed ^ decoded) & win.nonfrontier:
         report.violations.append(
             f"aorb0({name}): disagreement with window recomputation at "
             f"{space.render(a)}"
@@ -319,12 +350,16 @@ def check_orbit_set(win: Window, addr: Addr, claimed: SymbolicSet,
 
 def check_trace(win: Window, trace: LadderTrace, report: WindowCheckReport):
     space = win.space
-    nonfrontier = sorted(win.addr_set - win.frontier, key=_addr_sort_key)
+    nonfrontier = sorted(win.nonfrontier, key=_addr_sort_key)
+    base = trace.partition_at(0)
+    base_keys: dict[Addr, tuple] | None = None
     prev_keys: dict[Addr, tuple] | None = None
     prev_degree: OrdinalCNF | None = None
     for degree, part in trace.entries:
         report.checks_run += 1
         keys = {a: part.key_of(a) for a in win.addrs}
+        if part is base:
+            base_keys = keys
         # disjoint cover is automatic for a key function; check invariance
         for a in win.addrs:
             img = space.phi(a)
@@ -347,7 +382,8 @@ def check_trace(win: Window, trace: LadderTrace, report: WindowCheckReport):
     # degree 0 must agree with the overlap-generated equivalence of the
     # recomputed orbits, off the frontier
     report.checks_run += 1
-    base = trace.partition_at(0)
+    if base_keys is None:
+        base_keys = {a: base.key_of(a) for a in nonfrontier}
     parent: dict[Addr, Addr] = {a: a for a in nonfrontier}
 
     def find(a: Addr) -> Addr:
@@ -369,7 +405,7 @@ def check_trace(win: Window, trace: LadderTrace, report: WindowCheckReport):
     key_blocks: dict[tuple, set[Addr]] = {}
     for a in nonfrontier:
         window_blocks.setdefault(find(a), set()).add(a)
-        key_blocks.setdefault(base.key_of(a), set()).add(a)
+        key_blocks.setdefault(base_keys[a], set()).add(a)
     if sorted(map(sorted, window_blocks.values())) != \
             sorted(map(sorted, key_blocks.values())):
         report.violations.append(

@@ -184,13 +184,16 @@ def finest_abs_stable_partition(sys: FiniteSystem,
 
 
 def finer_plain_stable_witness(sys: FiniteSystem,
-                               bound: int = PARTITION_SEARCH_BOUND) -> Partition | None:
+                               bound: int = PARTITION_SEARCH_BOUND,
+                               oracle: Partition | None = None) -> Partition | None:
     """A partition into plainly stable sets strictly finer than the oracle
-    partition, if any exists; None otherwise."""
+    partition, if any exists; None otherwise.  ``oracle`` is the system's
+    ``oracle_partition``, computed here when not given."""
     n = sys.n
     if n > bound:
         raise SizeLimitError(f"{n} points exceeds partition search bound {bound}")
-    oracle = oracle_partition(sys)
+    if oracle is None:
+        oracle = oracle_partition(sys)
     verdict: dict[int, bool] = {}
 
     def class_ok(mask: int) -> bool:

@@ -124,6 +124,15 @@ def test_window_command_with_check(tmp_path, capsys):
     assert loaded.n == len(rep["points"])
 
 
+@pytest.mark.parametrize("cuts", [("--family-cut", "40"),
+                                  ("--strand-cut", str(10**9))])
+def test_window_rejects_oversized_window(cuts):
+    proc = run_module("window", "ramp", *cuts, "--check")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error[E_SIZE]")
+    assert "Traceback" not in proc.stderr
+
+
 def test_census_command(capsys):
     code, out = run_cli(capsys, "census", "--points", "2",
                         "--check", "oracle-equivalence,stabilization-degree-0")

@@ -1,9 +1,12 @@
 """Fuzz test of the CLI contract: for any input file, every system command
-exits 0, 1 or 2 and raises nothing.
+exits 0, 1 or 2 and raises nothing, and so does ``window`` for any term,
+cuts and degree cap.
 
 Inputs range from well-formed systems (unique points, known names, identity
 or constant maps) through wrong types, duplicates and unknown names to
-non-object tops, extra fields and bytes that are not UTF-8 text.
+non-object tops, extra fields and bytes that are not UTF-8 text.  Window
+cuts include values far above the point cap, which must be refused before
+anything is built.
 """
 
 import json
@@ -81,3 +84,30 @@ def test_cli_exit_codes_on_arbitrary_input(case):
         runs.append(["lyapunov", str(path), "--set", members])
         for argv in runs:
             assert main(argv + ["--out", out]) in (0, 1, 2), argv
+
+
+# Terms nest at most two levels, so every audit within the cuts below stays
+# under a quarter of a second; the junk covers parse, depth and empty terms.
+TERMS = st.sampled_from([
+    "strand", "ramp", "cat(strand)", "cat(ramp)", "cat(cat(strand))",
+    "cat(cat(ramp))", "cat(", "ramp)", "cat()", "",
+    "cat(cat(cat(cat(cat(cat(cat(strand)))))))",
+]) | st.text(max_size=6)
+CUTS = st.integers(-1, 4) | st.sampled_from([40, 10**9])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(TERMS, CUTS, CUTS, st.sampled_from(["w*2", "w", "0", "x"]),
+       st.booleans(), st.booleans())
+def test_window_exit_codes_on_arbitrary_cuts(term, family_cut, strand_cut,
+                                             max_degree, check, system_out):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["window", term, "--family-cut", str(family_cut),
+                "--strand-cut", str(strand_cut), "--max-degree", max_degree,
+                "--out", str(Path(tmp) / "out")]
+        if check:
+            argv.append("--check")
+        if system_out:
+            argv += ["--system-out", str(Path(tmp) / "system.json")]
+        assert main(argv) in (0, 1, 2), argv

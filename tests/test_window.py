@@ -1,18 +1,25 @@
+import importlib
+
 import pytest
 
 from fixfactor.decomposition import stabilize
-from fixfactor.errors import CoverError
+from fixfactor.errors import CoverError, SizeLimitError
 from fixfactor.ladder import build_ladder, ladder_trace, window, window_check
 from fixfactor.ladder.sets import ladder_aorb0_addr
+from fixfactor.ladder.space import TOP
+from fixfactor.ladder.trace import LadderTrace
 from fixfactor.ladder.window import (
     WindowCheckReport,
     check_orbit_set,
+    check_trace,
     window_answers_stable,
 )
 from fixfactor.ordinals import parse_ordinal
 from fixfactor.topology import is_discrete
 
 W2 = parse_ordinal("w*2")
+# the module, which the package's ``window`` function shadows
+window_mod = importlib.import_module("fixfactor.ladder.window")
 
 
 def test_strand_window_point_count():
@@ -114,3 +121,80 @@ def test_frontier_marks_strand_edges_and_last_family_member():
     assert (("copy", 0), ("z", -3)) in w.frontier
     assert (("copy", 3), ("A",)) in w.frontier        # last copy entirely
     assert (("copy", 1), ("z", 0)) not in w.frontier
+
+
+def reference_frontier(w) -> frozenset:
+    """The frontier by the direct scan: every address against the last
+    member of every family."""
+    space = w.space
+    frontier = set()
+    for p in w.strand_paths:
+        for j in (-w.strand_cut, w.strand_cut):
+            a = p + (("z", j),)
+            if a in w.addr_set:
+                frontier.add(a)
+    for path, maxm in w.family_nodes.items():
+        axis = "block" if space.subterm(path).kind == "ramp" else "copy"
+        last = path + ((axis, maxm),)
+        for a in w.addrs:
+            if a != TOP and a[: len(last)] == last:
+                frontier.add(a)
+    return frozenset(frontier)
+
+
+@pytest.mark.parametrize("term,cuts", [
+    *((t, c) for t in ("strand", "cat(strand)", "ramp", "cat(ramp)", "cat(cat(ramp))")
+      for c in ((1, 1), (3, 3), (5, 6))),
+    ("ramp", (8, 8)),
+])
+def test_frontier_and_size_match_direct_scans(term, cuts):
+    sp = build_ladder(term)
+    w = window(sp, *cuts)
+    assert w.frontier == reference_frontier(w)
+    counted = window_mod._count_points(sp.term, *cuts, window_mod.WINDOW_POINT_CAP)
+    assert counted + 1 == len(w.addrs)
+
+
+class SplitOnePoint:
+    """A partition that gives one point a class of its own."""
+
+    def __init__(self, part, addr):
+        self.part, self.addr = part, addr
+
+    def key_of(self, a):
+        return ("split",) if a == self.addr else self.part.key_of(a)
+
+
+def test_fault_injection_split_strand_class_detected():
+    sp = build_ladder("cat(strand)")
+    w = window(sp, 3, 3)
+    tr = ladder_trace(sp, W2)
+    z0, z1 = (("copy", 1), ("z", 0)), (("copy", 1), ("z", 1))
+    assert z0 in w.nonfrontier and z1 in w.nonfrontier
+    (d0, p0), *rest = tr.entries
+    bad = LadderTrace(sp, ((d0, SplitOnePoint(p0, z0)), *rest),
+                      tr.stabilization_degree, tr.finite_degrees_truncated_at)
+    rep = WindowCheckReport("cat(strand)", (3, 3), 0, [])
+    check_trace(w, bad, rep)
+    assert any("S:2:0 is not invariant" in v for v in rep.violations)
+
+
+def test_window_point_cap_is_exact(monkeypatch):
+    sp = build_ladder("cat(strand)")
+    monkeypatch.setattr(window_mod, "WINDOW_POINT_CAP", 33)
+    assert len(window(sp, 3, 3).addrs) == 33
+    monkeypatch.setattr(window_mod, "WINDOW_POINT_CAP", 32)
+    with pytest.raises(SizeLimitError):
+        window(sp, 3, 3)
+
+
+@pytest.mark.parametrize("term,cuts", [
+    ("ramp", (40, 3)),
+    ("ramp", (10**9, 3)),
+    ("cat(cat(ramp))", (10**9, 10**9)),
+    ("strand", (3, 10**9)),
+])
+def test_oversized_window_refused_before_enumeration(term, cuts):
+    with pytest.raises(SizeLimitError):
+        window(build_ladder(term), *cuts)
+
