@@ -237,9 +237,6 @@ class CensusReport:
     ergodic_count: int
     finer_plain_stable_witnesses: list[dict]
 
-    def all_passed(self) -> bool:
-        return all(c.failed == 0 for c in self.checks.values())
-
     def to_json(self) -> dict:
         return {
             "points": self.points,

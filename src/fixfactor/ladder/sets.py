@@ -1,13 +1,13 @@
 """Symbolic subsets of a ladder space and the base-degree orbit computation.
 
-A :class:`SymbolicSet` is a normalized union of primitive components:
-single points, per-strand index profiles (finite sets, one-sided tails,
-or the full orbit), whole half-open subtrees, and family tails.  Every
-component has decidable membership for concrete addresses, and the
-closure and invariance operators act componentwise through a finite rule
-table: a forward tail adds its attracting endpoint under closure; a
-backward tail blows up to the full strand under invariance; an infinite
-family adds the owning node's top point under closure.
+A :class:`SymbolicSet` is a normalized union of two kinds of component:
+single limit points, and per-strand index profiles (finite sets,
+one-sided tails, or the full orbit).  Every component has decidable
+membership for concrete addresses, and the closure and invariance
+operators act componentwise through a finite rule table: a forward tail
+adds its attracting endpoint under closure; a backward tail adds its
+repelling endpoint under closure and blows up to the full strand under
+invariance; a finite profile grows into a forward tail under invariance.
 
 ``ladder_aorb0`` computes the smallest closed invariant neighborhood of a
 point exactly.  The neighborhood filter of a limit point consists of
@@ -97,17 +97,14 @@ class StrandProfile:
 
 @dataclass
 class SymbolicSet:
-    """Normalized union of points, strand profiles, subtrees and tails."""
+    """Normalized union of limit points and strand profiles."""
 
     space: LadderSpace
     pts: set[Addr] = field(default_factory=set)
     strands: dict[tuple, StrandProfile] = field(default_factory=dict)
-    subs: set[tuple] = field(default_factory=set)
-    tails: dict[tuple, int] = field(default_factory=dict)  # family path -> start K
 
     def copy(self) -> "SymbolicSet":
-        return SymbolicSet(self.space, set(self.pts), dict(self.strands),
-                           set(self.subs), dict(self.tails))
+        return SymbolicSet(self.space, set(self.pts), dict(self.strands))
 
     # -- construction ----------------------------------------------------
 
@@ -121,30 +118,10 @@ class SymbolicSet:
         cur = self.strands.get(path, StrandProfile())
         self.strands[path] = cur.union(profile)
 
-    def add_subtree(self, path: tuple):
-        self.subs.add(path)
-
-    def add_tail(self, path: tuple, start: int):
-        cur = self.tails.get(path)
-        self.tails[path] = start if cur is None else min(cur, start)
-
     # -- queries -----------------------------------------------------------
-
-    def _under_sub_or_tail(self, addr: Addr) -> bool:
-        for p in self.subs:
-            if addr[: len(p)] == p and addr != TOP:
-                return True
-        for p, k in self.tails.items():
-            if len(addr) > len(p) and addr[: len(p)] == p and addr != TOP:
-                step = addr[len(p)]
-                if step[0] in ("copy", "block") and step[1] >= k:
-                    return True
-        return False
 
     def contains(self, addr: Addr) -> bool:
         if addr in self.pts:
-            return True
-        if self._under_sub_or_tail(addr):
             return True
         if addr[-1][0] == "z":
             prof = self.strands.get(addr[:-1])
@@ -157,8 +134,6 @@ class SymbolicSet:
             tuple(sorted(self.pts)),
             tuple(sorted((p, v.normalized()) for p, v in self.strands.items()
                          if not v.is_empty())),
-            tuple(sorted(self.subs)),
-            tuple(sorted(self.tails.items())),
         )
 
     def __eq__(self, other) -> bool:
@@ -177,10 +152,6 @@ class SymbolicSet:
                 new.append(fwd_t)
             if prof.full or prof.bwd is not None:
                 new.append(bwd_t)
-        for path in self.subs:
-            new.append(space.subtree_top(path))
-        for path in self.tails:
-            new.append(space.subtree_top(path))
         grew = False
         for a in new:
             if not self.contains(a):
@@ -226,16 +197,7 @@ class SymbolicSet:
             rep = space.render(path + (("z", 0),))
             region = rep.rsplit(":", 1)[0]
             comps.append({"kind": "strand", "region": region, "profile": prof.label()})
-        for path in sorted(self.subs):
-            comps.append({"kind": "subtree", "path": _render_path(space, path)})
-        for path, k in sorted(self.tails.items()):
-            comps.append({"kind": "family-tail", "path": _render_path(space, path),
-                          "from": k})
         return {"components": comps}
-
-
-def _render_path(space: LadderSpace, path: tuple) -> str:
-    return "/".join(f"{axis}{m}" for axis, m in path) or "(root)"
 
 
 def point_sources(space: LadderSpace, addr: Addr) -> list[tuple]:
@@ -245,7 +207,7 @@ def point_sources(space: LadderSpace, addr: Addr) -> list[tuple]:
     ("family", node path).  Orbit points have no sources.
     """
     if addr == TOP:
-        return _top_sources(space, ())
+        return _top_sources_at(space, ())
     if addr[-1][0] == "z":
         return []
     out: list[tuple] = [("fwd", addr[:-1])]
@@ -264,10 +226,6 @@ def _top_sources_at(space: LadderSpace, path: tuple) -> list[tuple]:
     if term.kind == "strand":
         return [("bwd", path)]
     return [("family", path)]
-
-
-def _top_sources(space: LadderSpace, path: tuple) -> list[tuple]:
-    return _top_sources_at(space, path)
 
 
 def ladder_aorb0_addr(space: LadderSpace, addr: Addr) -> SymbolicSet:
@@ -337,9 +295,6 @@ def _offset_token(m: int, rep: int) -> str:
 
 
 def _shift_key(space: LadderSpace, s: SymbolicSet, rep: int) -> tuple:
-    def shift_path(path: tuple) -> tuple:
-        return tuple((axis, _offset_token(m, rep)) for axis, m in path)
-
     def shift_addr(a: Addr) -> tuple:
         return tuple(
             (step[0], _offset_token(step[1], rep)) if step[0] in ("copy", "block")
@@ -349,10 +304,8 @@ def _shift_key(space: LadderSpace, s: SymbolicSet, rep: int) -> tuple:
 
     return (
         tuple(sorted(shift_addr(a) for a in s.pts)),
-        tuple(sorted((shift_path(p), v.normalized()) for p, v in s.strands.items()
+        tuple(sorted((shift_addr(p), v.normalized()) for p, v in s.strands.items()
                      if not v.is_empty())),
-        tuple(sorted(shift_path(p) for p in s.subs)),
-        tuple(sorted((shift_path(p), k) for p, k in s.tails.items())),
     )
 
 
@@ -369,7 +322,7 @@ def _generic_json(space: LadderSpace, s: SymbolicSet, rep: int) -> dict:
         return ":".join(out).replace(":/", "/")
 
     for comp in raw["components"]:
-        for k in ("at", "region", "under", "path"):
+        for k in ("at", "region"):
             if k in comp and isinstance(comp[k], str):
                 comp[k] = relabel(comp[k])
     raw["generic_index"] = "m"

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..errors import LocatorError
-from .terms import LadderTerm, parse_term, ramp_block_term
+from ..errors import DepthError, LocatorError
+from .terms import BLOCK_INDEX_CAP, LadderTerm, parse_term, ramp_block_term
 
 Step = tuple
 Addr = tuple
@@ -173,6 +173,10 @@ def _parse_locator(term: LadderTerm, text: str) -> Addr:
     if not head.startswith("B"):
         raise LocatorError(f"expected B<m> prefix in {text!r}")
     m = _parse_int(head[1:], "block")
+    if m < 0:
+        raise LocatorError(f"negative family index in {text!r}")
+    if m > BLOCK_INDEX_CAP:
+        raise DepthError(f"block index {m} is above the cap {BLOCK_INDEX_CAP}")
     return (("block", m),) + _parse_locator(ramp_block_term(m), rest)
 
 

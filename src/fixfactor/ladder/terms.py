@@ -23,6 +23,10 @@ from ..errors import DepthError, TermError
 from ..ordinals import OMEGA, OrdinalCNF
 
 NESTING_CAP = 6
+# Largest ramp block index a locator may name.  Block m nests m + 1 cat
+# layers, and the recursive term helpers fail near m = 490 under the
+# default recursion limit.
+BLOCK_INDEX_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -57,34 +61,27 @@ def ramp_block_term(m: int) -> LadderTerm:
 
 def parse_term(text: str, cap: int = NESTING_CAP) -> LadderTerm:
     s = text.replace(" ", "")
-    term, rest = _parse(s)
+    term, rest = _parse(s, cap, 0)
     if rest:
         raise TermError(f"trailing input {rest!r} in term {text!r}")
-    depth = nesting(term)
-    if depth > cap:
-        raise DepthError(f"term nests {depth} levels, cap is {cap}")
     return term
 
 
-def _parse(s: str) -> tuple[LadderTerm, str]:
+def _parse(s: str, cap: int, depth: int) -> tuple[LadderTerm, str]:
+    """Parse a term inside ``depth`` cat layers.  A ramp or cat that would
+    nest past ``cap`` is refused before its argument is read."""
     if s.startswith("strand"):
         return STRAND, s[len("strand"):]
+    if s.startswith(("ramp", "cat(")) and depth >= cap:
+        raise DepthError(f"term nests more than {cap} levels, cap is {cap}")
     if s.startswith("ramp"):
         return RAMP, s[len("ramp"):]
     if s.startswith("cat("):
-        inner, rest = _parse(s[len("cat("):])
+        inner, rest = _parse(s[len("cat("):], cap, depth + 1)
         if not rest.startswith(")"):
             raise TermError(f"unbalanced parentheses near {rest!r}")
         return cat(inner), rest[1:]
     raise TermError(f"cannot parse term at {s!r}")
-
-
-def nesting(term: LadderTerm) -> int:
-    if term.kind == "strand":
-        return 0
-    if term.kind == "ramp":
-        return 1
-    return 1 + nesting(term.child)
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,11 @@ sum to at most the family cut and whose orbit index lies within the
 strand cut, plus the top point.  Frontier points are those whose
 neighborhood or image data is truncated: the extreme orbit points of
 every strand and the entire last materialized member of every family.
+One walk over the family tree lists the strands in address order, each
+flagged when it lies in a last member; the window's size follows from
+their number, so an oversized window is refused before any address is
+built, and the addresses and the frontier are then expanded strand by
+strand.
 
 The audit recomputes base-degree orbits on the window by walking the
 truncation directly (minimal-neighborhood stubs at the frontier, the
@@ -32,20 +37,6 @@ from .terms import LadderTerm
 from .trace import LadderTrace
 
 
-def _addr_sort_key(addr: Addr) -> tuple:
-    out = []
-    for step in addr:
-        if step[0] in ("copy", "block"):
-            out.append((0, step[1]))
-        elif step[0] == "A":
-            out.append((1, 0))
-        elif step[0] == "z":
-            out.append((2, step[1]))
-        else:
-            out.append((3, 0))
-    return tuple(out)
-
-
 @dataclass
 class Window:
     space: LadderSpace
@@ -67,9 +58,6 @@ class Window:
 
     def names(self) -> list[str]:
         return [self.space.render(a) for a in self.addrs]
-
-    def is_frontier(self, addr: Addr) -> bool:
-        return addr in self.frontier
 
     # -- direct recomputation on the truncation -------------------------
 
@@ -131,13 +119,15 @@ class Window:
                 cand = path + (("z", -self.strand_cut),)
                 if cand in self.addr_set:
                     out.add(cand)
-            else:
-                maxm = self.family_nodes.get(path)
-                if maxm is not None:
-                    axis = "block" if self.space.subterm(path).kind == "ramp" else "copy"
-                    out.add(path + ((axis, maxm),) + base_addr(
-                        child_term(self.space.subterm(path), (axis, maxm))))
+            elif path in self.family_nodes:
+                out.add(self.last_member_base(path))
         return out
+
+    def last_member_base(self, path: tuple) -> Addr:
+        """Base point of the last materialized member of the family at path."""
+        term = self.space.subterm(path)
+        step = ("block" if term.kind == "ramp" else "copy", self.family_nodes[path])
+        return path + (step,) + base_addr(child_term(term, step))
 
     def aorb0_w(self, addr: Addr) -> set[Addr]:
         return self.closure_w(self.orbit_w(self.min_nbhd_w(addr)))
@@ -158,14 +148,10 @@ class Window:
                 pairs.append((by_addr[fwd_t], by_addr[hi]))
             if bwd_t in by_addr and lo in by_addr:
                 pairs.append((by_addr[bwd_t], by_addr[lo]))
-        for path, maxm in self.family_nodes.items():
+        for path in self.family_nodes:
             top = self.space.subtree_top(path)
-            if top not in by_addr:
-                continue
-            axis = "block" if self.space.subterm(path).kind == "ramp" else "copy"
-            last_base = path + ((axis, maxm),) + base_addr(
-                child_term(self.space.subterm(path), (axis, maxm)))
-            pairs.append((by_addr[top], by_addr[last_base]))
+            if top in by_addr:
+                pairs.append((by_addr[top], by_addr[self.last_member_base(path)]))
         mapping = {}
         for a in self.addrs:
             if a[-1][0] == "z" and abs(a[-1][1]) < self.strand_cut:
@@ -190,87 +176,45 @@ class Window:
 WINDOW_POINT_CAP = 50_000
 
 
-def _enumerate(term: LadderTerm, budget: int, j_cut: int):
-    """Addresses of the half-open space within the index budget."""
-    if term.kind == "strand":
-        yield (("A",),)
-        for j in range(-j_cut, j_cut + 1):
-            yield (("z", j),)
-        return
-    axis = "copy" if term.kind == "cat" else "block"
-    for m in range(budget + 1):
-        child = child_term(term, (axis, m))
-        for sub in _enumerate(child, budget - m, j_cut):
-            yield ((axis, m),) + sub
-
-
-def _collect_nodes(term: LadderTerm, path: tuple, budget: int,
-                   families: dict, strands: list):
-    if term.kind == "strand":
-        strands.append(path)
-        return
-    axis = "copy" if term.kind == "cat" else "block"
-    families[path] = budget
-    for m in range(budget + 1):
-        _collect_nodes(child_term(term, (axis, m)), path + ((axis, m),),
-                       budget - m, families, strands)
-
-
-def _count_points(term: LadderTerm, budget: int, j_cut: int, limit: int) -> int:
-    """Number of addresses ``_enumerate`` yields, or a number above
-    ``limit`` as soon as the running total passes it."""
-    if term.kind == "strand":
-        return 2 * j_cut + 2
-    axis = "copy" if term.kind == "cat" else "block"
-    total = 0
-    for m in range(budget + 1):
-        total += _count_points(child_term(term, (axis, m)), budget - m, j_cut,
-                               limit - total)
-        if total > limit:
-            break
-    return total
-
-
 def window(space: LadderSpace, family_cut: int, strand_cut: int) -> Window:
     """Materialize the finite corner of the space within the cuts.
 
     The family cut bounds the sum of family indices along an address, so
     nested terms stay polynomial in size; on a single-axis space it is
     simply the largest materialized index.  Windows of more than
-    ``WINDOW_POINT_CAP`` points are refused before anything is built.
+    ``WINDOW_POINT_CAP`` points are refused before any address is built.
     """
     if family_cut < 1 or strand_cut < 1:
         raise CoverError("window cuts must be at least 1")
-    if 1 + _count_points(space.term, family_cut, strand_cut,
-                         WINDOW_POINT_CAP) > WINDOW_POINT_CAP:
-        raise SizeLimitError(
-            f"window of {space.term} at cuts ({family_cut},{strand_cut}) has "
-            f"more than {WINDOW_POINT_CAP} points"
-        )
-    addrs = sorted(_enumerate(space.term, family_cut, strand_cut),
-                   key=_addr_sort_key)
-    addrs.append(TOP)
     families: dict[tuple, int] = {}
-    strands: list[tuple] = []
-    _collect_nodes(space.term, (), family_cut, families, strands)
+    strands: list[tuple[tuple, bool]] = []  # (path, lies in a last member)
+
+    def walk(term: LadderTerm, path: tuple, budget: int, in_last: bool):
+        if term.kind == "strand":
+            strands.append((path, in_last))
+            if len(strands) * (2 * strand_cut + 2) + 1 > WINDOW_POINT_CAP:
+                raise SizeLimitError(
+                    f"window of {space.term} at cuts ({family_cut},{strand_cut}) "
+                    f"has more than {WINDOW_POINT_CAP} points"
+                )
+            return
+        axis = "copy" if term.kind == "cat" else "block"
+        families[path] = budget
+        for m in range(budget + 1):
+            walk(child_term(term, (axis, m)), path + ((axis, m),), budget - m,
+                 in_last or m == budget)
+
+    walk(space.term, (), family_cut, False)
+    addrs: list[Addr] = []
     frontier: set[Addr] = set()
-    addr_set = set(addrs)
-    for p in strands:
-        for j in (-strand_cut, strand_cut):
-            a = p + (("z", j),)
-            if a in addr_set:
-                frontier.add(a)
-    # the last member of every family, in full: an address lies in it when
-    # one of its proper prefixes ends on that member
-    lasts = {
-        path + (("block" if space.subterm(path).kind == "ramp" else "copy", maxm),)
-        for path, maxm in families.items()
-    }
-    for a in addrs:
-        if any(a[:k] in lasts for k in range(1, len(a))):
-            frontier.add(a)
-    return Window(space, family_cut, strand_cut, tuple(addrs),
-                  frozenset(frontier), tuple(strands), families)
+    for path, in_last in strands:
+        points = [path + (("A",),)]
+        points += [path + (("z", j),) for j in range(-strand_cut, strand_cut + 1)]
+        addrs += points
+        frontier.update(points if in_last else (points[1], points[-1]))
+    addrs.append(TOP)
+    return Window(space, family_cut, strand_cut, tuple(addrs), frozenset(frontier),
+                  tuple(path for path, _ in strands), families)
 
 
 @dataclass
@@ -293,8 +237,6 @@ class WindowCheckReport:
 
 
 def _decode(sset: SymbolicSet, win: Window) -> set[Addr]:
-    if sset.subs or sset.tails:
-        return {a for a in win.addrs if sset.contains(a)}
     out: set[Addr] = set()
     for a in sset.pts:
         if a in win.addr_set:
@@ -350,7 +292,7 @@ def check_orbit_set(win: Window, addr: Addr, claimed: SymbolicSet,
 
 def check_trace(win: Window, trace: LadderTrace, report: WindowCheckReport):
     space = win.space
-    nonfrontier = sorted(win.nonfrontier, key=_addr_sort_key)
+    nonfrontier = [a for a in win.addrs if a not in win.frontier]
     base = trace.partition_at(0)
     base_keys: dict[Addr, tuple] | None = None
     prev_keys: dict[Addr, tuple] | None = None
@@ -415,17 +357,13 @@ def check_trace(win: Window, trace: LadderTrace, report: WindowCheckReport):
 
 
 def window_check(space: LadderSpace, win: Window,
-                 orbit_claims: list[tuple[Addr, SymbolicSet]] | None = None,
-                 trace: LadderTrace | None = None) -> WindowCheckReport:
+                 trace: LadderTrace) -> WindowCheckReport:
     report = WindowCheckReport(str(space.term), (win.family_cut, win.strand_cut),
                                0, [])
-    if orbit_claims is None:
-        nonfrontier = [a for a in win.addrs if a not in win.frontier]
-        orbit_claims = [(a, ladder_aorb0_addr(space, a)) for a in nonfrontier]
-    for addr, claimed in orbit_claims:
-        check_orbit_set(win, addr, claimed, report)
-    if trace is not None:
-        check_trace(win, trace, report)
+    for addr in win.addrs:
+        if addr not in win.frontier:
+            check_orbit_set(win, addr, ladder_aorb0_addr(space, addr), report)
+    check_trace(win, trace, report)
     return report
 
 

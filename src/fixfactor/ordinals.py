@@ -122,12 +122,12 @@ def parse_ordinal(text: str) -> OrdinalCNF:
             raise OrdinalError(f"malformed ordinal term {chunk!r} in {text!r}")
         exp_s, coeff_s, nat_s = m.groups()
         if nat_s is not None:
-            exp, coeff = 0, int(nat_s)
+            exp, coeff = 0, _nat(nat_s)
             if coeff == 0:
                 raise OrdinalError(f"zero term not allowed inside sum: {text!r}")
         else:
-            exp = int(exp_s) if exp_s is not None else 1
-            coeff = int(coeff_s) if coeff_s is not None else 1
+            exp = _nat(exp_s) if exp_s is not None else 1
+            coeff = _nat(coeff_s) if coeff_s is not None else 1
             if exp_s is not None and exp in (0, 1):
                 raise OrdinalError(
                     f"non-canonical exponent in {chunk!r}; write 'w' or a natural"
@@ -139,6 +139,13 @@ def parse_ordinal(text: str) -> OrdinalCNF:
     if exps != sorted(exps, reverse=True) or len(set(exps)) != len(exps):
         raise OrdinalError(f"terms must have strictly decreasing exponents: {text!r}")
     return OrdinalCNF(tuple(terms))
+
+
+def _nat(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than ``int`` converts
+        raise OrdinalError(f"natural of {len(digits)} digits in ordinal literal") from None
 
 
 def format_ordinal(o: OrdinalCNF) -> str:

@@ -241,15 +241,6 @@ def validate_map(space: FiniteSpace, assignments: dict[str, str]) -> SelfMap:
     return SelfMap(space, img)
 
 
-def is_monotone_img(space: FiniteSpace, img: tuple[int, ...]) -> bool:
-    for i in range(space.n):
-        ui = space.up[i]
-        for j in _iter_bits(ui):
-            if not space.up[img[i]] >> img[j] & 1:
-                return False
-    return True
-
-
 def comparability_components(space: FiniteSpace) -> list[int]:
     """Connected components of the comparability graph, as masks."""
     n = space.n

@@ -133,6 +133,18 @@ def test_window_rejects_oversized_window(cuts):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("ladder", "cat(" * 1200 + "strand" + ")" * 1200),
+    ("window", "cat(" * 1200 + "strand" + ")" * 1200),
+    ("ladder", "ramp", "--aorb0", "B990/A"),
+])
+def test_depth_refused_without_traceback(argv):
+    proc = run_module(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error[E_DEPTH]")
+    assert "Traceback" not in proc.stderr
+
+
 def test_census_command(capsys):
     code, out = run_cli(capsys, "census", "--points", "2",
                         "--check", "oracle-equivalence,stabilization-degree-0")

@@ -1,21 +1,26 @@
 """Fuzz test of the CLI contract: for any input file, every system command
 exits 0, 1 or 2 and raises nothing, and so does ``window`` for any term,
-cuts and degree cap.
+cuts and degree cap, and ``ladder`` for any term, locator and degree cap.
 
 Inputs range from well-formed systems (unique points, known names, identity
 or constant maps) through wrong types, duplicates and unknown names to
 non-object tops, extra fields and bytes that are not UTF-8 text.  Window
 cuts include values far above the point cap, which must be refused before
-anything is built.
+anything is built.  Terms nest up to 5,000 levels and locators name
+blocks far past the block cap, which must be refused before any term of
+that depth is built.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fixfactor.cli import main
+from fixfactor.ladder.terms import NESTING_CAP
 
 NAMES = st.sampled_from(["a", "b", "c", "d", "e", "f"]) | st.text(max_size=2)
 
@@ -86,6 +91,10 @@ def test_cli_exit_codes_on_arbitrary_input(case):
             assert main(argv + ["--out", out]) in (0, 1, 2), argv
 
 
+def deep(levels: int, base: str = "strand") -> str:
+    return "cat(" * levels + base + ")" * levels
+
+
 # Terms nest at most two levels, so every audit within the cuts below stays
 # under a quarter of a second; the junk covers parse, depth and empty terms.
 TERMS = st.sampled_from([
@@ -98,8 +107,9 @@ CUTS = st.integers(-1, 4) | st.sampled_from([40, 10**9])
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(TERMS, CUTS, CUTS, st.sampled_from(["w*2", "w", "0", "x"]),
-       st.booleans(), st.booleans())
+@given(TERMS | st.builds(deep, st.integers(NESTING_CAP + 1, 5000)), CUTS, CUTS,
+       st.sampled_from(["w*2", "w", "0", "x"]), st.booleans(), st.booleans())
+@example(deep(5000), 1, 1, "w*2", True, False)
 def test_window_exit_codes_on_arbitrary_cuts(term, family_cut, strand_cut,
                                              max_degree, check, system_out):
     with tempfile.TemporaryDirectory() as tmp:
@@ -111,3 +121,38 @@ def test_window_exit_codes_on_arbitrary_cuts(term, family_cut, strand_cut,
         if system_out:
             argv += ["--system-out", str(Path(tmp) / "system.json")]
         assert main(argv) in (0, 1, 2), argv
+
+
+LADDER_TERMS = TERMS | st.builds(deep, st.integers(0, 5000),
+                                 st.sampled_from(["strand", "ramp", "x"]))
+LOCATOR_TOKENS = st.sampled_from(["K", "B", "c", "S", "z", "A", "R", "m", "top",
+                                  ":", "/", "-"]) \
+    | st.integers(0, 12).map(str) | st.sampled_from(["99", "100", "101", "490", "990"]) \
+    | st.integers(0, 10**30).map(str)
+LOCATORS = st.none() | st.lists(LOCATOR_TOKENS, max_size=10).map("".join) \
+    | st.sampled_from(["c:m", "B1/K0/c:m", "K2/B1/K0/c:m", "B2/K1/K0/c:3", "S:2:m",
+                       "z:m", "B990/A", "B5000/A", "B-5/A"])
+DEGREES = st.sampled_from(["w*2", "w", "w+1", "w^2", "0", "3", "x", "", "w^1",
+                           "9" * 5000]) | st.text("w^*+0123456789", max_size=8)
+
+
+# Hypothesis raises the recursion limit while a test runs, so a term must
+# nest deeper here than the 1,200 levels a fresh interpreter fails on
+# (``test_depth_refused_without_traceback`` runs those); a negative block
+# index recursed without end.
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(LADDER_TERMS, LOCATORS, DEGREES)
+@example(deep(5000), None, "w*2")
+@example("ramp", "B990/A", "w*2")
+@example("ramp", "B-5/A", "w*2")
+@example("strand", None, "9" * 5000)
+def test_ladder_exit_codes_on_arbitrary_input(term, locator, max_degree):
+    argv = ["ladder", term, "--max-degree", max_degree]
+    if locator is not None:
+        argv += ["--aorb0", locator]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

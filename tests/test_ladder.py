@@ -10,7 +10,7 @@ from fixfactor.ladder import (
     term_stab,
 )
 from fixfactor.ladder.sets import ladder_aorb0_addr
-from fixfactor.ladder.terms import cat_power
+from fixfactor.ladder.terms import BLOCK_INDEX_CAP, NESTING_CAP, cat_power
 from fixfactor.ordinals import OMEGA, OrdinalCNF, parse_ordinal
 
 W2 = parse_ordinal("w*2")
@@ -18,7 +18,7 @@ W2 = parse_ordinal("w*2")
 
 def comp_kinds(result):
     return sorted(
-        (c["kind"], c.get("at") or c.get("region") or c.get("path"))
+        (c["kind"], c.get("at") or c.get("region"))
         for c in result.to_json()["components"]
     )
 
@@ -43,6 +43,35 @@ def test_parse_term_errors():
         parse_term("strandx")
     with pytest.raises(DepthError):
         parse_term("cat(" * 7 + "strand" + ")" * 7)
+
+
+def test_nesting_cap_enforced_while_parsing():
+    # the deepest accepted terms, then the first refused ones
+    assert str(parse_term("cat(" * NESTING_CAP + "strand" + ")" * NESTING_CAP)) \
+        == "cat(" * NESTING_CAP + "strand" + ")" * NESTING_CAP
+    parse_term("cat(" * (NESTING_CAP - 1) + "ramp" + ")" * (NESTING_CAP - 1))
+    with pytest.raises(DepthError):
+        parse_term("cat(" * NESTING_CAP + "ramp" + ")" * NESTING_CAP)
+    # far deeper than the interpreter's recursion limit
+    with pytest.raises(DepthError):
+        parse_term("cat(" * 1200 + "strand" + ")" * 1200)
+
+
+def block_locator(m: int) -> str:
+    """The base point of ramp block m: B<m>/, then m chain prefixes."""
+    return f"B{m}/" + "K0/" * m + "c:0"
+
+
+def test_block_index_cap():
+    sp = build_ladder("ramp")
+    deepest = block_locator(BLOCK_INDEX_CAP)
+    assert ladder_aorb0(sp, deepest).contains(sp.parse_locator(deepest))
+    with pytest.raises(DepthError):
+        sp.parse_locator(block_locator(BLOCK_INDEX_CAP + 1))
+    with pytest.raises(DepthError):
+        sp.parse_locator("B990/A")
+    with pytest.raises(LocatorError):
+        sp.parse_locator("B-5/A")
 
 
 def test_stabilization_bookkeeping():

@@ -21,6 +21,8 @@ def test_parse_grammar_oracle():
 
 @pytest.mark.parametrize("text", [
     "", "w^1", "w^0", "w*1", "1+w", "w+w", "w^2*0", "2+3", "x", "w^-1", "w+0",
+    # naturals longer than ``int`` converts
+    "9" * 5000, "w^" + "9" * 5000, "w*" + "9" * 5000,
 ])
 def test_parse_rejects_noncanonical(text):
     with pytest.raises(OrdinalError):

@@ -6,7 +6,7 @@ from fixfactor.decomposition import stabilize
 from fixfactor.errors import CoverError, SizeLimitError
 from fixfactor.ladder import build_ladder, ladder_trace, window, window_check
 from fixfactor.ladder.sets import ladder_aorb0_addr
-from fixfactor.ladder.space import TOP
+from fixfactor.ladder.space import TOP, child_term, term_at
 from fixfactor.ladder.trace import LadderTrace
 from fixfactor.ladder.window import (
     WindowCheckReport,
@@ -142,6 +142,46 @@ def reference_frontier(w) -> frozenset:
     return frozenset(frontier)
 
 
+def addr_sort_key(addr) -> tuple:
+    out = []
+    for step in addr:
+        if step[0] in ("copy", "block"):
+            out.append((0, step[1]))
+        elif step[0] == "A":
+            out.append((1, 0))
+        elif step[0] == "z":
+            out.append((2, step[1]))
+        else:
+            out.append((3, 0))
+    return tuple(out)
+
+
+def reference_window(term, budget: int, j_cut: int):
+    """Addresses, frontier and family budgets by the earlier build: a
+    recursion over the term whose output is sorted by address, then a scan
+    of every address's proper prefixes for the last member of a family."""
+    families = {}
+
+    def enumerate_addrs(term, path, budget):
+        if term.kind == "strand":
+            yield path + (("A",),)
+            for j in range(-j_cut, j_cut + 1):
+                yield path + (("z", j),)
+            return
+        axis = "copy" if term.kind == "cat" else "block"
+        families[path] = budget
+        for m in range(budget + 1):
+            yield from enumerate_addrs(child_term(term, (axis, m)),
+                                       path + ((axis, m),), budget - m)
+
+    addrs = sorted(enumerate_addrs(term, (), budget), key=addr_sort_key) + [TOP]
+    frontier = {a for a in addrs if a[-1][0] == "z" and abs(a[-1][1]) == j_cut}
+    lasts = {path + (("block" if term_at(term, path).kind == "ramp" else "copy", maxm),)
+             for path, maxm in families.items()}
+    frontier |= {a for a in addrs if any(a[:k] in lasts for k in range(1, len(a)))}
+    return tuple(addrs), frozenset(frontier), families
+
+
 @pytest.mark.parametrize("term,cuts", [
     *((t, c) for t in ("strand", "cat(strand)", "ramp", "cat(ramp)", "cat(cat(ramp))")
       for c in ((1, 1), (3, 3), (5, 6))),
@@ -151,8 +191,7 @@ def test_frontier_and_size_match_direct_scans(term, cuts):
     sp = build_ladder(term)
     w = window(sp, *cuts)
     assert w.frontier == reference_frontier(w)
-    counted = window_mod._count_points(sp.term, *cuts, window_mod.WINDOW_POINT_CAP)
-    assert counted + 1 == len(w.addrs)
+    assert (w.addrs, w.frontier, w.family_nodes) == reference_window(sp.term, *cuts)
 
 
 class SplitOnePoint:
