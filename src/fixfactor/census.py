@@ -3,6 +3,15 @@
 Preorders are enumerated recursively: a preorder on n points is the
 induced preorder on the first n-1 points plus a consistent up/down profile
 for the last point.  Each preorder is paired with every monotone self-map.
+
+Up to isomorphism the enumeration is orderly.  It keeps a preorder only if
+it is the first of its class (named by the least relabeling of its
+up-masks), and on it only the maps that are lexicographically least among
+their conjugates under the preorder's automorphisms.  That is the first
+labeled copy of each system class, in enumeration order, and the other
+copies are never built.  :func:`canonical_form` is the definition-direct
+reference the generator is tested against.
+
 The census builds one :class:`Analysis` per system (at least one point),
 runs the named theorem-level checks on it, and reports pass/fail counts
 with replayable counterexamples.
@@ -145,7 +154,12 @@ def monotone_maps(space: FiniteSpace) -> Iterator[SelfMap]:
 
 
 def canonical_form(space: FiniteSpace, m: SelfMap) -> tuple:
-    """Minimum relation-and-map encoding over all point permutations."""
+    """Minimum relation-and-map encoding over all point permutations.
+
+    The definition-direct reference for isomorphism of systems: two systems
+    are isomorphic exactly when their forms are equal.  The enumeration does
+    not call it; the tests check the orderly generator against it.
+    """
     n = space.n
     best = None
     for perm in itertools.permutations(range(n)):
@@ -160,6 +174,30 @@ def canonical_form(space: FiniteSpace, m: SelfMap) -> tuple:
     return best
 
 
+def _relabelings(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every permutation g of n points but the identity, as (g, g^-1, table)
+    with table[s] the image g(s) of the point mask s."""
+    out = []
+    for g in itertools.islice(itertools.permutations(range(n)), 1, None):
+        inv = tuple(sorted(range(n), key=g.__getitem__))
+        table = tuple(sum(1 << g[j] for j in _iter_bits(s)) for s in range(1 << n))
+        out.append((g, inv, table))
+    return out
+
+
+def _preorder_class(up: tuple[int, ...], relabelings: list) -> tuple[tuple[int, ...], list]:
+    """The least relabeled up-mask vector of a preorder, which names its
+    isomorphism class, and its automorphisms but the identity as (g, g^-1)."""
+    key, aut = up, []
+    for g, inv, table in relabelings:
+        image = tuple(table[up[i]] for i in inv)  # image[g(i)] = g(up[i])
+        if image < key:
+            key = image
+        elif image == up:
+            aut.append((g, inv))
+    return key, aut
+
+
 def enumerate_systems(n: int, up_to_iso: bool = False) -> Iterator[FiniteSystem]:
     """Systems on n points (one per isomorphism class if asked); the size
     guard runs at the call, before anything is enumerated."""
@@ -171,15 +209,23 @@ def enumerate_systems(n: int, up_to_iso: bool = False) -> Iterator[FiniteSystem]
         )
 
     def systems() -> Iterator[FiniteSystem]:
-        seen: set[tuple] = set()
+        # Orderly generation: the first copy of a system class lies on the
+        # first labeled preorder of its class, and among that preorder's maps
+        # it is the least conjugate g.m.g^-1 over g in Aut(P).  A labeled
+        # enumeration lists no automorphisms, so every map passes.
+        seen: set[tuple[int, ...]] = set()
+        relabelings = _relabelings(n) if up_to_iso else []
         for space in enumerate_preorders(n):
+            aut: list = []
+            if up_to_iso:
+                key, aut = _preorder_class(space.up, relabelings)
+                if key in seen:
+                    continue
+                seen.add(key)
             for m in monotone_maps(space):
-                if up_to_iso:
-                    key = canonical_form(space, m)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                yield FiniteSystem(space, m)
+                img = m.img
+                if all(img <= tuple(g[img[i]] for i in inv) for g, inv in aut):
+                    yield FiniteSystem(space, m)
 
     return systems()
 

@@ -111,8 +111,13 @@ class LadderSpace:
 
     def parse_locator(self, text: str) -> Addr:
         """Parse a point name; the generic marker 'm' is handled by callers."""
-        addr = _parse_locator(self.term, text.strip())
-        self.validate(addr)
+        text = text.strip()
+        addr = _parse_locator(self.term, text)
+        try:
+            self.validate(addr)
+        except LocatorError:
+            raise LocatorError(
+                f"locator {text!r} does not name a point of {self.term}") from None
         return addr
 
 
@@ -163,21 +168,19 @@ def _parse_locator(term: LadderTerm, text: str) -> Addr:
             return (("copy", k - 1), ("z", _parse_int(parts[2], "orbit")))
         raise LocatorError(f"unknown chain point {text!r}")
     head, sep, rest = text.partition("/")
+    prefix, axis = ("K", "copy") if term.kind == "cat" else ("B", "block")
     if not sep:
-        raise LocatorError(f"locator {text!r} needs a {'K' if term.kind == 'cat' else 'B'}<m>/ prefix")
-    if term.kind == "cat":
-        if not head.startswith("K"):
-            raise LocatorError(f"expected K<m> prefix in {text!r}")
-        m = _parse_int(head[1:], "copy")
-        return (("copy", m),) + _parse_locator(term.child, rest)
-    if not head.startswith("B"):
-        raise LocatorError(f"expected B<m> prefix in {text!r}")
-    m = _parse_int(head[1:], "block")
+        raise LocatorError(f"locator {text!r} needs a {prefix}<m>/ prefix")
+    if not head.startswith(prefix):
+        raise LocatorError(f"expected {prefix}<m> prefix in {text!r}")
+    m = _parse_int(head[1:], axis)
     if m < 0:
         raise LocatorError(f"negative family index in {text!r}")
+    if term.kind == "cat":
+        return ((axis, m),) + _parse_locator(term.child, rest)
     if m > BLOCK_INDEX_CAP:
         raise DepthError(f"block index {m} is above the cap {BLOCK_INDEX_CAP}")
-    return (("block", m),) + _parse_locator(ramp_block_term(m), rest)
+    return ((axis, m),) + _parse_locator(ramp_block_term(m), rest)
 
 
 def build_ladder(term: LadderTerm | str) -> LadderSpace:

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from fixfactor.census import (
+    canonical_form,
     count_preorders_bruteforce,
     census_failures,
     enumerate_preorders,
@@ -56,6 +57,33 @@ def test_up_to_iso_dedupes():
     assert iso < labeled
 
 
+def reference_iso_systems(n):
+    """One system per isomorphism class by deduplicating every labeled
+    system on its canonical form: the enumeration before orderly generation."""
+    seen = set()
+    for space in enumerate_preorders(n):
+        for m in monotone_maps(space):
+            key = canonical_form(space, m)
+            if key not in seen:
+                seen.add(key)
+                yield space.up, m.img
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orderly_generation_matches_canonical_form_dedupe(n):
+    got = [(s.space.up, s.map.img) for s in enumerate_systems(n, up_to_iso=True)]
+    assert got == list(reference_iso_systems(n))  # same systems, labels, order
+
+
+def test_orderly_generation_counts_up_to_five_points():
+    classes = [list(enumerate_systems(n, up_to_iso=True)) for n in range(1, 6)]
+    # 13,290 is also the count of distinct canonical forms over all
+    # 1,326,310 labeled 5-point systems
+    assert len(classes[4]) == 13290
+    # each preorder class appears once (OEIS A001930)
+    assert [len({s.space.up for s in c}) for c in classes] == [1, 3, 9, 33, 139]
+
+
 def test_census_n2_all_asserted_pass():
     report = run_census(2)
     assert census_failures(report) == []
@@ -66,6 +94,11 @@ def test_census_n2_all_asserted_pass():
 # sha256 of the `census --points 3 --check all` report, pinned so that any
 # change to verdicts, histogram, witnesses or counterexamples shows up
 CENSUS_3_SHA256 = "22ca2a47538b70fd5b67deebda6a3076bbf9cd5a1ad99cbce3401f847454efe5"
+# ... and of `census --points N --up-to-iso --check all`
+CENSUS_ISO_SHA256 = {
+    3: "0f6ad1609bbe6f5a3a6197ca528fd55c347dbff8b8ac4d62620037e5216af1c0",
+    4: "4677bcd33a576a7368fa12661264d2c65aedff05c0bf4bcfa3cc044b8bbde1ff",
+}
 
 
 def test_census_deterministic_across_jobs(tmp_path):
@@ -75,6 +108,15 @@ def test_census_deterministic_across_jobs(tmp_path):
                      "--jobs", jobs, "--out", str(out)])
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_3_SHA256
+
+
+@pytest.mark.parametrize("n", sorted(CENSUS_ISO_SHA256))
+def test_census_up_to_iso_report_pinned(tmp_path, n):
+    out = tmp_path / "census.json"
+    code = main(["census", "--points", str(n), "--up-to-iso", "--check", "all",
+                 "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_ISO_SHA256[n]
 
 
 def test_census_unknown_check_rejected():

@@ -110,6 +110,14 @@ def test_ladder_aorb0_flag(capsys):
     assert ("point", "c:m-1") in kinds and ("strand", "S:m") in kinds
 
 
+def test_locator_error_names_the_typed_locator(capsys):
+    code = main(["ladder", "cat(ramp)", "--aorb0", "K0/top"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error[E_LOCATOR]")
+    assert "K0/top" in err and "('copy'" not in err
+
+
 def test_window_command_with_check(tmp_path, capsys):
     sysout = tmp_path / "win.json"
     code, out = run_cli(
