@@ -41,13 +41,12 @@ from .decomposition import (
 )
 from .errors import SizeLimitError, UnknownNameError
 from .stability import (
-    finer_plain_stable_witness,
     finest_abs_stable_partition,
     invariant_core_mask,
     invariant_core_reference,
     is_absolutely_stable,
     is_stable_plain_mask,
-    stable_degree_value_mask,
+    stable_degree_verdicts,
 )
 from .topology import (
     FiniteSpace,
@@ -281,7 +280,6 @@ class CensusReport:
     checks: dict[str, CheckOutcome]
     stabilization_histogram: dict[int, int]
     ergodic_count: int
-    finer_plain_stable_witnesses: list[dict]
 
     def to_json(self) -> dict:
         return {
@@ -300,7 +298,9 @@ class CensusReport:
                 str(k): v for k, v in sorted(self.stabilization_histogram.items())
             },
             "ergodic_count": self.ergodic_count,
-            "finer_plain_stable_witnesses": self.finer_plain_stable_witnesses[:10],
+            # Always empty: plainly stable sets are open and forward-invariant,
+            # so every partition into them is the oracle or coarser.
+            "finer_plain_stable_witnesses": [],
         }
 
 
@@ -449,11 +449,9 @@ def check_finest_abs_stable(a: Analysis) -> str | None:
 
 
 def check_degree_monotonicity(a: Analysis) -> str | None:
-    sys, trace = a.sys, a.trace
-    stab = trace.stabilization_degree.as_int()
-    parts = [trace.partition_at(d) for d in range(stab + 1)]
+    sys = a.sys
     for mask in range(1, sys.space.full_mask + 1):
-        verdicts = [stable_degree_value_mask(sys, p, mask) == mask for p in parts]
+        verdicts = stable_degree_verdicts(sys, a.trace, mask)
         # once false at a lower degree, must stay false above
         for lo in range(len(verdicts)):
             for hi in range(lo + 1, len(verdicts)):
@@ -473,12 +471,12 @@ def check_containment_lemma(a: Analysis) -> str | None:
     orbit and base class stay inside as well.
     """
     sys, trace = a.sys, a.trace
-    stab = trace.stabilization_degree.as_int()
     base = trace.partition_at(0)
     for mask in range(1, sys.space.full_mask + 1):
-        for d in range(stab + 1):
-            p = trace.partition_at(d)
-            if stable_degree_value_mask(sys, p, mask) == mask:
+        verdicts = stable_degree_verdicts(sys, trace, mask)
+        for d, stable in enumerate(verdicts):
+            if stable:
+                p = trace.partition_at(d)
                 for i in _iter_bits(mask):
                     if aorb_succ_mask(sys, p, i) & ~mask:
                         return (
@@ -486,7 +484,7 @@ def check_containment_lemma(a: Analysis) -> str | None:
                             f"not contain the degree-{d + 1} orbit of "
                             f"{sys.space.points[i]}"
                         )
-        if is_absolutely_stable(sys, PointSet(sys.space, mask), trace):
+        if is_stable_plain_mask(sys, mask) and all(verdicts):
             for i in _iter_bits(mask):
                 if aorb0_mask(sys, i) & ~mask:
                     return (
@@ -571,50 +569,52 @@ ALL_CHECK_NAMES = tuple(ASSERTED_CHECKS) + tuple(REPORTED_CHECKS)
 
 
 def evaluate_system(checks: tuple[str, ...], sys: FiniteSystem
-                    ) -> tuple[dict[str, str | None], int, bool, dict | None]:
+                    ) -> tuple[dict[str, str | None], int, bool, FiniteSystem | None]:
     """Analyze one system and run the named checks, looked up at call time.
 
     Returns the verdict per check (None on a pass), the stabilization
-    degree, the ergodic flag and the finer plainly stable witness payload.
+    degree, the ergodic flag, and the system itself when a check failed, so
+    that a streamed census can keep it as a counterexample.
     """
     a = analyze(sys)
     verdicts = {name: (ASSERTED_CHECKS.get(name) or REPORTED_CHECKS[name])(a)
                 for name in checks}
-    w = finer_plain_stable_witness(sys, oracle=a.oracle) if sys.n <= 4 else None
-    witness = None if w is None else {
-        "system": system_payload(sys),
-        "witness_classes": [list(c.members()) for c in w.class_sets()],
-    }
+    failed = any(msg is not None for msg in verdicts.values())
     return (verdicts, a.trace.stabilization_degree.as_int(),
-            a.trace.stationary_partition.num_classes == 1, witness)
+            a.trace.stationary_partition.num_classes == 1, sys if failed else None)
 
 
-def run_census(n: int, checks: tuple[str, ...] | None = None,
-               up_to_iso: bool = False, jobs: int = 1) -> CensusReport:
-    if checks is None:
-        checks = tuple(ASSERTED_CHECKS)
-    unknown = [c for c in checks if c not in ASSERTED_CHECKS and c not in REPORTED_CHECKS]
-    if unknown:
-        raise UnknownNameError(f"unknown checks {unknown}")
-    systems = list(enumerate_systems(n, up_to_iso))
+def _evaluate_all(checks: tuple[str, ...], systems: Iterator[FiniteSystem],
+                  jobs: int) -> Iterator[tuple]:
+    """``evaluate_system`` on each system, in order; in ``jobs`` worker
+    processes when ``jobs`` is above 1, else in this one."""
     run = functools.partial(evaluate_system, checks)
     if jobs > 1:
         import multiprocessing as mp
 
         with mp.Pool(jobs) as pool:
-            results = pool.map(run, systems, chunksize=64)
+            yield from pool.imap(run, systems, chunksize=64)
     else:
-        results = list(map(run, systems))
+        yield from map(run, systems)
 
+
+def run_census(n: int, checks: tuple[str, ...] | None = None,
+               up_to_iso: bool = False, jobs: int = 1) -> CensusReport:
+    """Stream the systems through the checks, keeping only the counters and
+    the first ``KEPT_COUNTEREXAMPLES`` counterexamples per check."""
+    if checks is None:
+        checks = tuple(ASSERTED_CHECKS)
+    unknown = [c for c in checks if c not in ASSERTED_CHECKS and c not in REPORTED_CHECKS]
+    if unknown:
+        raise UnknownNameError(f"unknown checks {unknown}")
+    systems = enumerate_systems(n, up_to_iso)
     outcomes = {name: CheckOutcome(name) for name in checks}
     histogram: dict[int, int] = {}
-    ergodic_count = 0
-    witnesses: list[dict] = []
-    for sys, (verdicts, degree, ergodic, witness) in zip(systems, results):
+    ergodic_count = num_systems = 0
+    for verdicts, degree, ergodic, failed_sys in _evaluate_all(checks, systems, jobs):
+        num_systems += 1
         histogram[degree] = histogram.get(degree, 0) + 1
         ergodic_count += ergodic
-        if witness is not None:
-            witnesses.append(witness)
         for name, msg in verdicts.items():
             out = outcomes[name]
             if msg is None:
@@ -623,17 +623,16 @@ def run_census(n: int, checks: tuple[str, ...] | None = None,
                 out.failed += 1
                 if len(out.counterexamples) < KEPT_COUNTEREXAMPLES:
                     out.counterexamples.append({
-                        "system": system_payload(sys),
+                        "system": system_payload(failed_sys),
                         "reason": msg,
                     })
     return CensusReport(
         points=n,
         num_topologies=sum(1 for _ in enumerate_preorders(n)),
-        num_systems=len(systems),
+        num_systems=num_systems,
         checks=outcomes,
         stabilization_histogram=histogram,
         ergodic_count=ergodic_count,
-        finer_plain_stable_witnesses=witnesses,
     )
 
 

@@ -284,7 +284,7 @@ def cmd_window(args) -> int:
 
 def cmd_census(args) -> int:
     if args.check == "all":
-        checks = tuple(census_mod.ASSERTED_CHECKS) + tuple(census_mod.REPORTED_CHECKS)
+        checks = census_mod.ALL_CHECK_NAMES
     else:
         checks = tuple(args.check.split(","))
     report = census_mod.run_census(

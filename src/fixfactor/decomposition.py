@@ -80,9 +80,6 @@ class Partition:
     def class_mask(self, x: str) -> int:
         return self.classes[self.class_of[self.space.idx(x)]]
 
-    def class_set(self, x: str) -> PointSet:
-        return PointSet(self.space, self.class_mask(x))
-
     def class_sets(self) -> tuple[PointSet, ...]:
         return tuple(PointSet(self.space, m) for m in self.classes)
 
@@ -108,7 +105,7 @@ class Partition:
         return self.classes == other.classes
 
 
-def generated_partition(space: FiniteSpace, cover: list[PointSet] | list[int]) -> Partition:
+def generated_partition(space: FiniteSpace, cover: list[int]) -> Partition:
     """Finest equivalence merging overlapping cover members (x in K_x).
 
     Every member contains its own point, so merging the owners of each
@@ -117,11 +114,10 @@ def generated_partition(space: FiniteSpace, cover: list[PointSet] | list[int]) -
     that in O(sum of member sizes) unions, where a scan of every member
     for every point would take n^2.
     """
-    masks = [c.mask if isinstance(c, PointSet) else c for c in cover]
     n = space.n
-    if len(masks) != n:
-        raise CoverError(f"cover must have one member per point, got {len(masks)}")
-    for i, m in enumerate(masks):
+    if len(cover) != n:
+        raise CoverError(f"cover must have one member per point, got {len(cover)}")
+    for i, m in enumerate(cover):
         if not m >> i & 1:
             raise CoverError(f"point {space.points[i]!r} not in its own cover member")
     parent = list(range(n))
@@ -132,7 +128,7 @@ def generated_partition(space: FiniteSpace, cover: list[PointSet] | list[int]) -
             a = parent[a]
         return a
 
-    for m in set(masks):
+    for m in set(cover):
         root = find((m & -m).bit_length() - 1)
         for j in _iter_bits(m & (m - 1)):
             parent[find(j)] = root
@@ -204,18 +200,16 @@ def aorb_succ(sys: FiniteSystem, p: Partition, x: str) -> PointSet:
 
 
 def reference_intersection(sys: FiniteSystem, mode: str, x: str,
-                           p: Partition | None = None,
-                           bound: int | None = None) -> PointSet:
+                           p: Partition | None = None) -> PointSet:
     """Definition-direct oracle for aorb0 / aorb_succ.
 
     mode="base": intersect all closed invariant neighborhoods of x.
     mode="succ": intersect, over all open P-saturated U containing x, the
     least closed P-saturated superset of U (enumerated, not collapsed).
-    The size bound defaults to ``REFERENCE_BOUND`` for "base" and to the
-    smaller ``SUCC_REFERENCE_BOUND`` for "succ".
+    The size bound is ``REFERENCE_BOUND`` for "base" and the smaller
+    ``SUCC_REFERENCE_BOUND`` for "succ".
     """
-    if bound is None:
-        bound = REFERENCE_BOUND if mode == "base" else SUCC_REFERENCE_BOUND
+    bound = REFERENCE_BOUND if mode == "base" else SUCC_REFERENCE_BOUND
     space = sys.space
     if space.n > bound:
         raise SizeLimitError(f"{space.n} points exceeds enumeration bound {bound}")
@@ -395,12 +389,12 @@ def prolongation_D2(sys: FiniteSystem, x: str) -> PointSet:
     return PointSet(space, space.closure_mask(acc))
 
 
-def prolongation_reference(sys: FiniteSystem, which: str, x: str,
-                           bound: int = REFERENCE_BOUND) -> PointSet:
+def prolongation_reference(sys: FiniteSystem, which: str, x: str) -> PointSet:
     """Definition-direct prolongations: intersect over all open U containing x."""
     space = sys.space
-    if space.n > bound:
-        raise SizeLimitError(f"{space.n} points exceeds enumeration bound {bound}")
+    if space.n > REFERENCE_BOUND:
+        raise SizeLimitError(
+            f"{space.n} points exceeds enumeration bound {REFERENCE_BOUND}")
     i = space.idx(x)
     acc = space.full_mask
     for cand in range(1 << space.n):

@@ -59,25 +59,26 @@ def ramp_block_term(m: int) -> LadderTerm:
     return cat_power(m + 1)
 
 
-def parse_term(text: str, cap: int = NESTING_CAP) -> LadderTerm:
+def parse_term(text: str) -> LadderTerm:
     s = text.replace(" ", "")
-    term, rest = _parse(s, cap, 0)
+    term, rest = _parse(s, 0)
     if rest:
         raise TermError(f"trailing input {rest!r} in term {text!r}")
     return term
 
 
-def _parse(s: str, cap: int, depth: int) -> tuple[LadderTerm, str]:
+def _parse(s: str, depth: int) -> tuple[LadderTerm, str]:
     """Parse a term inside ``depth`` cat layers.  A ramp or cat that would
-    nest past ``cap`` is refused before its argument is read."""
+    nest past ``NESTING_CAP`` is refused before its argument is read."""
     if s.startswith("strand"):
         return STRAND, s[len("strand"):]
-    if s.startswith(("ramp", "cat(")) and depth >= cap:
-        raise DepthError(f"term nests more than {cap} levels, cap is {cap}")
+    if s.startswith(("ramp", "cat(")) and depth >= NESTING_CAP:
+        raise DepthError(
+            f"term nests more than {NESTING_CAP} levels, cap is {NESTING_CAP}")
     if s.startswith("ramp"):
         return RAMP, s[len("ramp"):]
     if s.startswith("cat("):
-        inner, rest = _parse(s[len("cat("):], cap, depth + 1)
+        inner, rest = _parse(s[len("cat("):], depth + 1)
         if not rest.startswith(")"):
             raise TermError(f"unbalanced parentheses near {rest!r}")
         return cat(inner), rest[1:]

@@ -149,12 +149,12 @@ class LadderTrace:
         }
 
 
-def trace_degrees(term: LadderTerm, finite_cap: int = FINITE_RENDER_CAP) -> tuple[list[OrdinalCNF], int | None]:
+def trace_degrees(term: LadderTerm) -> tuple[list[OrdinalCNF], int | None]:
     stab = term_stab(term)
     if stab.is_finite():
         return [OrdinalCNF.from_int(d) for d in range(stab.as_int() + 2)], None
-    degrees = [OrdinalCNF.from_int(d) for d in range(finite_cap + 1)]
-    truncated = finite_cap
+    degrees = [OrdinalCNF.from_int(d) for d in range(FINITE_RENDER_CAP + 1)]
+    truncated = FINITE_RENDER_CAP
     d = OMEGA
     while True:
         degrees.append(d)
@@ -164,8 +164,7 @@ def trace_degrees(term: LadderTerm, finite_cap: int = FINITE_RENDER_CAP) -> tupl
     return degrees, truncated
 
 
-def ladder_trace(space: LadderSpace, max_degree: OrdinalCNF,
-                 finite_cap: int = FINITE_RENDER_CAP) -> LadderTrace:
+def ladder_trace(space: LadderSpace, max_degree: OrdinalCNF) -> LadderTrace:
     """Symbolic trace up to stationarity.
 
     Degrees recorded: every finite degree up to the render cap, then the
@@ -178,6 +177,6 @@ def ladder_trace(space: LadderSpace, max_degree: OrdinalCNF,
             f"trace of {space.term} is not stationary by degree {max_degree}; "
             f"it stabilizes at {stab}"
         )
-    degrees, truncated = trace_degrees(space.term, finite_cap)
+    degrees, truncated = trace_degrees(space.term)
     entries = tuple((d, SymPartition(space, d)) for d in degrees)
     return LadderTrace(space, entries, stab, truncated)

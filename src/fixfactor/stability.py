@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomposition import (
+    REFERENCE_BOUND,
     DegreeTrace,
     Partition,
     min_saturated_open_mask,
-    oracle_partition,
+    oracle_partition,  # noqa: F401  (a binding perfbench/tracing.py wraps)
     sorb_closure_mask,
     stabilize,
 )
@@ -54,11 +55,12 @@ def invariant_core(sys: FiniteSystem, m: PointSet) -> PointSet:
     return PointSet(sys.space, invariant_core_mask(sys, m.mask))
 
 
-def invariant_core_reference(sys: FiniteSystem, m: PointSet, bound: int = 12) -> PointSet:
+def invariant_core_reference(sys: FiniteSystem, m: PointSet) -> PointSet:
     """Definition-direct core by enumerating invariant neighborhoods."""
     space = sys.space
-    if space.n > bound:
-        raise SizeLimitError(f"{space.n} points exceeds enumeration bound {bound}")
+    if space.n > REFERENCE_BOUND:
+        raise SizeLimitError(
+            f"{space.n} points exceeds enumeration bound {REFERENCE_BOUND}")
     acc = space.full_mask
     for cand in range(1 << space.n):
         if m.mask & ~space.interior_mask(cand):
@@ -80,6 +82,14 @@ def is_stable_plain(sys: FiniteSystem, m: PointSet) -> bool:
 def stable_degree_value_mask(sys: FiniteSystem, p: Partition, mask: int) -> int:
     """Class-closure of the minimal open saturated neighborhood of the set."""
     return sorb_closure_mask(sys.space, p, min_saturated_open_mask(sys.space, p, mask))
+
+
+def stable_degree_verdicts(sys: FiniteSystem, trace: DegreeTrace,
+                           mask: int) -> tuple[bool, ...]:
+    """Whether the set is stable at each degree 0..stabilization; the last
+    trace entry repeats the stationary partition and is left out."""
+    return tuple(stable_degree_value_mask(sys, p, mask) == mask
+                 for _, p in trace.entries[:-1])
 
 
 def is_stable_degree(sys: FiniteSystem, m: PointSet, d: OrdinalCNF | int,
@@ -107,28 +117,16 @@ def is_absolutely_stable(sys: FiniteSystem, m: PointSet,
         raise CoverError("stability is defined for nonempty sets")
     if trace is None:
         trace = stabilize(sys)
-    if not is_stable_plain(sys, m):
-        return False
-    stab = trace.stabilization_degree.as_int()
-    for d in range(stab + 1):
-        p = trace.partition_at(d)
-        if stable_degree_value_mask(sys, p, m.mask) != m.mask:
-            return False
-    return True
+    return is_stable_plain(sys, m) and all(stable_degree_verdicts(sys, trace, m.mask))
 
 
 def stability_report(sys: FiniteSystem, m: PointSet) -> StabilityReport:
     if not m.mask:
         raise CoverError("stability is defined for nonempty sets")
-    trace = stabilize(sys)
     plain = is_stable_plain(sys, m)
-    by_degree = []
-    for d in range(trace.stabilization_degree.as_int() + 1):
-        p = trace.partition_at(d)
-        by_degree.append((OrdinalCNF.from_int(d),
-                          stable_degree_value_mask(sys, p, m.mask) == m.mask))
-    absolute = plain and all(ok for _, ok in by_degree)
-    return StabilityReport(m, plain, tuple(by_degree), absolute)
+    verdicts = stable_degree_verdicts(sys, stabilize(sys), m.mask)
+    by_degree = tuple((OrdinalCNF.from_int(d), ok) for d, ok in enumerate(verdicts))
+    return StabilityReport(m, plain, by_degree, plain and all(verdicts))
 
 
 def _iter_partitions(n: int):
@@ -147,7 +145,6 @@ def _iter_partitions(n: int):
 
 
 def finest_abs_stable_partition(sys: FiniteSystem,
-                                bound: int = PARTITION_SEARCH_BOUND,
                                 trace: DegreeTrace | None = None) -> Partition:
     """Finest partition whose every class is absolutely stable.
 
@@ -155,8 +152,9 @@ def finest_abs_stable_partition(sys: FiniteSystem,
     first non-stable class; class verdicts are memoized across candidates.
     """
     n = sys.n
-    if n > bound:
-        raise SizeLimitError(f"{n} points exceeds partition search bound {bound}")
+    if n > PARTITION_SEARCH_BOUND:
+        raise SizeLimitError(
+            f"{n} points exceeds partition search bound {PARTITION_SEARCH_BOUND}")
     if trace is None:
         trace = stabilize(sys)
     verdict: dict[int, bool] = {}
@@ -181,33 +179,3 @@ def finest_abs_stable_partition(sys: FiniteSystem,
             "absolutely stable partitions have no finest element"
         )
     return finest[0]
-
-
-def finer_plain_stable_witness(sys: FiniteSystem,
-                               bound: int = PARTITION_SEARCH_BOUND,
-                               oracle: Partition | None = None) -> Partition | None:
-    """A partition into plainly stable sets strictly finer than the oracle
-    partition, if any exists; None otherwise.  ``oracle`` is the system's
-    ``oracle_partition``, computed here when not given."""
-    n = sys.n
-    if n > bound:
-        raise SizeLimitError(f"{n} points exceeds partition search bound {bound}")
-    if oracle is None:
-        oracle = oracle_partition(sys)
-    verdict: dict[int, bool] = {}
-
-    def class_ok(mask: int) -> bool:
-        if mask not in verdict:
-            verdict[mask] = is_stable_plain_mask(sys, mask)
-        return verdict[mask]
-
-    for rgs in _iter_partitions(n):
-        masks: dict[int, int] = {}
-        for i, c in enumerate(rgs):
-            masks[c] = masks.get(c, 0) | 1 << i
-        cand = Partition.from_class_of(sys.space, list(rgs))
-        if not cand.refines(oracle) or cand.same_blocks(oracle):
-            continue
-        if all(class_ok(m) for m in masks.values()):
-            return cand
-    return None

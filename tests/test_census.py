@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from fixfactor import census
 from fixfactor.census import (
     canonical_form,
     count_preorders_bruteforce,
@@ -13,6 +14,7 @@ from fixfactor.census import (
     run_census,
 )
 from fixfactor.cli import main
+from fixfactor.decomposition import Partition
 from fixfactor.errors import SizeLimitError, UnknownNameError
 from fixfactor.systems import sierpinski
 
@@ -147,3 +149,20 @@ def test_random_systems_deterministic():
     b = random_systems(5, 10)
     assert [(s.space.up, s.map.img) for s in a] == \
         [(s.space.up, s.map.img) for s in b]
+
+
+def test_finest_abs_stable_catches_a_too_coarse_oracle(monkeypatch):
+    # an oracle that merges its first two classes is too coarse on each of
+    # the 9 of 75 3-point system classes that have two classes to merge
+    real = census.oracle_partition
+
+    def merged(sys_):
+        p = real(sys_)
+        if p.num_classes < 2:
+            return p
+        return Partition.from_masks(
+            sys_.space, [p.classes[0] | p.classes[1], *p.classes[2:]])
+
+    monkeypatch.setattr(census, "oracle_partition", merged)
+    report = run_census(3, up_to_iso=True, checks=("finest-abs-stable",))
+    assert report.checks["finest-abs-stable"].failed == 9

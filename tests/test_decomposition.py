@@ -4,6 +4,7 @@ import pytest
 
 from fixfactor.census import enumerate_systems, random_systems
 from fixfactor.decomposition import (
+    REFERENCE_BOUND,
     SUCC_REFERENCE_BOUND,
     Partition,
     aorb0,
@@ -264,9 +265,9 @@ def test_reference_intersection_sierpinski():
 
 
 def test_reference_intersection_size_guard():
-    sys_ = discrete_cycle(6)
+    sys_ = discrete_cycle(REFERENCE_BOUND + 1)
     with pytest.raises(SizeLimitError):
-        reference_intersection(sys_, "base", "0", bound=4)
+        reference_intersection(sys_, "base", "0")
 
 
 def test_reference_intersection_succ_has_its_own_bound():

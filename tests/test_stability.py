@@ -1,15 +1,17 @@
 import pytest
 
-from fixfactor.decomposition import oracle_partition, stabilize
+from fixfactor.census import enumerate_systems, random_systems
+from fixfactor.decomposition import Partition, oracle_partition, stabilize
 from fixfactor.errors import CoverError, OrdinalError, SizeLimitError
 from fixfactor.stability import (
-    finer_plain_stable_witness,
+    _iter_partitions,
     finest_abs_stable_partition,
     invariant_core,
     invariant_core_reference,
     is_absolutely_stable,
     is_stable_degree,
     is_stable_plain,
+    is_stable_plain_mask,
     stability_report,
 )
 from fixfactor.systems import (
@@ -118,15 +120,60 @@ def test_finest_abs_stable_size_guard():
         finest_abs_stable_partition(sys_)
 
 
+def reference_finer_plain_witness(sys_, oracle=None):
+    """A partition into plainly stable sets strictly finer than ``oracle``
+    (by default the oracle partition), or None; a Bell-number search over
+    every partition.
+
+    It never finds one.  A plainly stable set S equals orbit(up(S)), which
+    contains up(S) and hence S, so S is open and forward-invariant.  In a
+    partition into such sets every class is open, and closed as the
+    complement of the union of the other classes, and it satisfies
+    phi^-1(C) = C because the classes are disjoint and cover the space.  A
+    clopen set with phi^-1(C) = C is a union of oracle classes, so no
+    candidate is strictly finer than the oracle.
+    """
+    if oracle is None:
+        oracle = oracle_partition(sys_)
+    for rgs in _iter_partitions(sys_.n):
+        cand = Partition.from_class_of(sys_.space, list(rgs))
+        if not cand.refines(oracle) or cand.same_blocks(oracle):
+            continue
+        if all(is_stable_plain_mask(sys_, m) for m in cand.classes):
+            return cand
+    return None
+
+
 def test_finer_plain_witness_discrete_identity_none():
     sys_ = build_system(["a", "b", "c"], [], {p: p for p in "abc"})
     # each fixed singleton is stable and already the oracle partition, so
     # nothing strictly finer can exist
-    assert finer_plain_stable_witness(sys_) is None
+    assert reference_finer_plain_witness(sys_) is None
 
 
 def test_finer_plain_witness_sierpinski_none():
-    assert finer_plain_stable_witness(sierpinski("id")) is None
+    assert reference_finer_plain_witness(sierpinski("id")) is None
+
+
+def test_no_finer_plain_witness_on_census_and_random_systems():
+    labeled = [s for n in range(1, 5) for s in enumerate_systems(n)]
+    assert len(labeled) == 17830
+    for sys_ in labeled + random_systems(5, 150) + random_systems(6, 150):
+        assert reference_finer_plain_witness(sys_) is None
+
+
+def test_reference_finds_a_witness_under_a_too_coarse_oracle():
+    # with the first two oracle classes merged, the oracle partition itself
+    # is a finer plainly stable partition, on each of the 9 3-point system
+    # classes with two classes to merge
+    found = 0
+    for sys_ in enumerate_systems(3, up_to_iso=True):
+        p = oracle_partition(sys_)
+        if p.num_classes >= 2:
+            merged = Partition.from_masks(
+                sys_.space, [p.classes[0] | p.classes[1], *p.classes[2:]])
+            found += reference_finer_plain_witness(sys_, merged) is not None
+    assert found == 9
 
 
 def test_degree_monotonicity_exhaustive_small():
