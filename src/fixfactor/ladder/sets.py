@@ -20,6 +20,7 @@ then closed under the invariance and closure rules.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from ..errors import LocatorError
@@ -185,19 +186,24 @@ class SymbolicSet:
 
     # -- rendering -----------------------------------------------------------
 
-    def to_json(self) -> dict:
+    def components(self) -> list[tuple[Addr, dict]]:
+        """Rendered components, each with the point or strand path it names."""
         space = self.space
         comps = []
         for a in sorted(self.pts):
-            comps.append({"kind": "point", "at": space.render(a)})
+            comps.append((a, {"kind": "point", "at": space.render(a)}))
         for path, prof in sorted(self.strands.items()):
             prof = prof.normalized()
             if prof.is_empty():
                 continue
             rep = space.render(path + (("z", 0),))
             region = rep.rsplit(":", 1)[0]
-            comps.append({"kind": "strand", "region": region, "profile": prof.label()})
-        return {"components": comps}
+            comps.append((path, {"kind": "strand", "region": region,
+                                 "profile": prof.label()}))
+        return comps
+
+    def to_json(self) -> dict:
+        return {"components": [comp for _, comp in self.components()]}
 
 
 def point_sources(space: LadderSpace, addr: Addr) -> list[tuple]:
@@ -262,18 +268,24 @@ def ladder_aorb0(space: LadderSpace, locator: str):
     """Base-degree orbit for a locator; supports one generic index 'm'.
 
     Generic queries are evaluated at two concrete indices and checked to
-    be index shifts of each other before reporting in terms of m.
+    be index shifts of each other before reporting in terms of m.  Only
+    the address position where the two instances differ shifts, and only
+    under the locator's own prefix; when that position is an orbit index,
+    the profile of the locator's own strand shifts with it.
     """
     text = locator.strip()
     if _has_generic(text):
         rep = 4
-        a = ladder_aorb0_addr(space, space.parse_locator(_subst(text, rep)))
-        b = ladder_aorb0_addr(space, space.parse_locator(_subst(text, rep + 1)))
-        if _shift_key(space, a, rep) != _shift_key(space, b, rep + 1):
+        la = space.parse_locator(_subst(text, rep))
+        lb = space.parse_locator(_subst(text, rep + 1))
+        pos = next(i for i, (x, y) in enumerate(zip(la, lb)) if x != y)
+        a = ladder_aorb0_addr(space, la)
+        b = ladder_aorb0_addr(space, lb)
+        if _shift_key(a, la, pos) != _shift_key(b, lb, pos):
             raise LocatorError(
                 f"result for {locator!r} is not uniform in the generic index"
             )
-        return GenericOrbit(rep, a, _generic_json(space, a, rep))
+        return GenericOrbit(rep, a, _generic_json(a, la, pos))
     return ladder_aorb0_addr(space, space.parse_locator(text))
 
 
@@ -294,36 +306,65 @@ def _offset_token(m: int, rep: int) -> str:
     return f"m{d:+d}"
 
 
-def _shift_key(space: LadderSpace, s: SymbolicSet, rep: int) -> tuple:
-    def shift_addr(a: Addr) -> tuple:
-        return tuple(
-            (step[0], _offset_token(step[1], rep)) if step[0] in ("copy", "block")
-            else step
-            for step in a
+def _is_generic(a: Addr, loc: Addr, pos: int) -> bool:
+    """True if a's step at pos is the locator's generic index: the same
+    kind of step, under the same prefix."""
+    return len(a) > pos and a[pos][0] == loc[pos][0] and a[:pos] == loc[:pos]
+
+
+def _shift_key(s: SymbolicSet, loc: Addr, pos: int) -> tuple:
+    """The set with the generic index written relative to the locator's."""
+    v = loc[pos][1]
+
+    def shift_addr(a: Addr) -> Addr:
+        if not _is_generic(a, loc, pos):
+            return a
+        return a[:pos] + ((a[pos][0], a[pos][1] - v),) + a[pos + 1:]
+
+    def shift_profile(path: tuple, prof: StrandProfile) -> StrandProfile:
+        prof = prof.normalized()
+        if path != loc[:pos] or loc[pos][0] != "z":
+            return prof
+        return StrandProfile(
+            tuple(j - v for j in prof.fin),
+            None if prof.fwd is None else prof.fwd - v,
+            None if prof.bwd is None else prof.bwd - v,
+            prof.full,
         )
 
     return (
         tuple(sorted(shift_addr(a) for a in s.pts)),
-        tuple(sorted((shift_addr(p), v.normalized()) for p, v in s.strands.items()
-                     if not v.is_empty())),
+        tuple(sorted((shift_addr(p), shift_profile(p, v))
+                     for p, v in s.strands.items() if not v.is_empty())),
     )
 
 
-def _generic_json(space: LadderSpace, s: SymbolicSet, rep: int) -> dict:
-    raw = s.to_json()
+_NUMBER = re.compile(r"-?\d+")
 
-    def relabel(txt: str) -> str:
-        out = []
-        for piece in txt.replace("/", ":/").split(":"):
-            if piece.lstrip("-").isdigit():
-                out.append(_offset_token(int(piece), rep))
-            else:
-                out.append(piece)
-        return ":".join(out).replace(":/", "/")
 
-    for comp in raw["components"]:
-        for k in ("at", "region"):
-            if k in comp and isinstance(comp[k], str):
-                comp[k] = relabel(comp[k])
-    raw["generic_index"] = "m"
-    return raw
+def _generic_json(s: SymbolicSet, loc: Addr, pos: int) -> dict:
+    """Render the set with the generic index spelled relative to the
+    locator's own."""
+    rep = loc[pos][1]
+
+    def shift(match: re.Match) -> str:
+        return _offset_token(int(match.group()), rep)
+
+    def relabel(text: str) -> str:
+        # a rendered name spells one number per address position, in order;
+        # only a final ("A",) step spells none
+        m = list(_NUMBER.finditer(text))[pos]
+        return text[:m.start()] + shift(m) + text[m.end():]
+
+    comps = []
+    for at, comp in s.components():
+        if comp["kind"] == "point":
+            if _is_generic(at, loc, pos):
+                comp["at"] = relabel(comp["at"])
+        elif _is_generic(at, loc, pos):
+            comp["region"] = relabel(comp["region"])
+        elif at == loc[:pos] and loc[pos][0] == "z":
+            # the locator's own strand, whose orbit indices are generic
+            comp["profile"] = _NUMBER.sub(shift, comp["profile"])
+        comps.append(comp)
+    return {"components": comps, "generic_index": "m"}

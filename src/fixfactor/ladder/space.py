@@ -56,12 +56,6 @@ class LadderSpace:
     def subterm(self, path: tuple[Step, ...]) -> LadderTerm:
         return term_at(self.term, path)
 
-    def base(self) -> Addr:
-        return base_addr(self.term)
-
-    def top(self) -> Addr:
-        return TOP
-
     def phi(self, addr: Addr) -> Addr:
         if addr[-1][0] == "z":
             return addr[:-1] + (("z", addr[-1][1] + 1),)

@@ -12,16 +12,17 @@ excluded), per-block internal classes beyond, and the top still apart;
 at the first limit degree the unions of all earlier classes cover the
 interior, and one successor step later the top joins.
 
-Class membership is decided by a recursive key function; a partition is
-rendered as the finite list of class families this recursion produces.
+Class membership is decided by a key walk down the address; a partition
+is rendered as the finite list of class families this walk produces.
 Limit entries are the per-point unions of the earlier classes with the
-equivalence regenerated, which is exactly what the key recursion yields
+equivalence regenerated, which is exactly what the key walk yields
 at limit degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import DegreeCapError
 from ..ordinals import OMEGA, OrdinalCNF
@@ -34,26 +35,38 @@ FINITE_RENDER_CAP = 8
 def class_key(space: LadderSpace, degree: OrdinalCNF, addr: Addr) -> tuple:
     """Canonical identifier of the degree-d class containing the point."""
     space.validate(addr)
-    if degree >= term_stab(space.term):
-        return ("all",)
-    if addr == TOP:
-        return ("top",)
-    return _key(space.term, (), degree, addr)
+    return SymPartition(space, degree).key_of(addr)
 
 
-def _key(term: LadderTerm, path: tuple, d: OrdinalCNF, addr: Addr) -> tuple:
-    if d >= term_interior_merge(term):
-        return ("sub", path)
-    if term.kind == "cat":
-        step = addr[0]
-        return _key(term.child, path + (step,), d, addr[1:])
-    # ramp below its limit merge degree: d is finite
-    k = d.as_int()
-    step = addr[0]
-    m = step[1]
-    if m <= k:
-        return ("init", path, k)
-    return _key(ramp_block_term(m), path + (step,), d, addr[1:])
+class _KeyNode:
+    """One subterm met by the key walk at a fixed degree.
+
+    Whether the degree reaches the subterm's interior merge degree is
+    decided once, when the node is built.  Below it, a cat node descends
+    into its child and a ramp node, whose degree is then finite, into the
+    block nodes it builds on first use.
+    """
+
+    __slots__ = ("merged", "child", "ramp_k", "blocks", "degree")
+
+    def __init__(self, term: LadderTerm, degree: OrdinalCNF):
+        self.merged = degree >= term_interior_merge(term)
+        self.child: _KeyNode | None = None
+        self.ramp_k: int | None = None
+        if self.merged:
+            return
+        if term.kind == "cat":
+            self.child = _KeyNode(term.child, degree)
+        else:
+            self.ramp_k = degree.as_int()
+            self.blocks: dict[int, _KeyNode] = {}
+            self.degree = degree
+
+    def block(self, m: int) -> "_KeyNode":
+        node = self.blocks.get(m)
+        if node is None:
+            node = self.blocks[m] = _KeyNode(ramp_block_term(m), self.degree)
+        return node
 
 
 def _interior_descriptor(term: LadderTerm, path_label: str, d: OrdinalCNF) -> dict:
@@ -88,8 +101,33 @@ class SymPartition:
     space: LadderSpace
     degree: OrdinalCNF
 
+    @cached_property
+    def _walk(self) -> _KeyNode | None:
+        """Root of the key walk, or None when the whole space is one class."""
+        if self.degree >= term_stab(self.space.term):
+            return None
+        return _KeyNode(self.space.term, self.degree)
+
     def key_of(self, addr: Addr) -> tuple:
-        return class_key(self.space, self.degree, addr)
+        """Key of the class containing ``addr``, which must name a point of
+        the space: the walk does not validate (``class_key`` does)."""
+        node = self._walk
+        if node is None:
+            return ("all",)
+        if addr == TOP:
+            return ("top",)
+        i = 0
+        while not node.merged:
+            step = addr[i]
+            k = node.ramp_k
+            if k is None:
+                node = node.child
+            elif step[1] <= k:
+                return ("init", addr[:i], k)
+            else:
+                node = node.block(step[1])
+            i += 1
+        return ("sub", addr[:i])
 
     def same_class(self, a: Addr, b: Addr) -> bool:
         return self.key_of(a) == self.key_of(b)

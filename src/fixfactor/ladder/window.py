@@ -80,28 +80,43 @@ class Window:
                 frontier.append(nxt)
         return out
 
+    @cached_property
+    def limit_tops(self) -> dict[tuple, tuple[Addr, ...]]:
+        """Strand path -> the materialized tops of the families in whose
+        last member the strand lies: the limit points that frontier
+        membership of its points witnesses."""
+        tops: dict[tuple, Addr] = {}
+        for path in self.family_nodes:
+            top = self.space.subtree_top(path)
+            if top in self.addr_set:
+                tops[path] = top
+        out: dict[tuple, tuple[Addr, ...]] = {}
+        for p in self.strand_paths:
+            hit = tuple(tops[p[:i]] for i, step in enumerate(p)
+                        if self.family_nodes[p[:i]] == step[1] and p[:i] in tops)
+            if hit:
+                out[p] = hit
+        return out
+
     def closure_w(self, s: set[Addr]) -> set[Addr]:
         """Add limit points witnessed by frontier membership."""
         out = set(s)
         work = list(s)
+        limit_tops = self.limit_tops
+        addr_set = self.addr_set
+        cut = self.strand_cut
         while work:
             a = work.pop()
             if a == TOP:
                 continue
-            cands: list[Addr] = []
-            if a[-1][0] == "z":
-                p = a[:-1]
-                fwd_t, bwd_t = self.space.strand_targets(p)
-                if a[-1][1] == self.strand_cut:
-                    cands.append(fwd_t)
-                if a[-1][1] == -self.strand_cut:
-                    cands.append(bwd_t)
-            for i, step in enumerate(a):
-                if step[0] in ("copy", "block") and \
-                        self.family_nodes.get(a[:i]) == step[1]:
-                    cands.append(self.space.subtree_top(a[:i]))
+            p, last = a[:-1], a[-1]
+            cands = limit_tops.get(p, ())
+            if last[0] == "z" and last[1] == cut:
+                cands += (p + (("A",),),)
+            elif last[0] == "z" and last[1] == -cut:
+                cands += (self.space.subtree_top(p),)
             for c in cands:
-                if c in self.addr_set and c not in out:
+                if c not in out and c in addr_set:
                     out.add(c)
                     work.append(c)
         return out
@@ -292,6 +307,9 @@ def check_orbit_set(win: Window, addr: Addr, claimed: SymbolicSet,
 
 def check_trace(win: Window, trace: LadderTrace, report: WindowCheckReport):
     space = win.space
+    # validated once here, since the key walk trusts its addresses
+    for a in win.addrs:
+        space.validate(a)
     nonfrontier = [a for a in win.addrs if a not in win.frontier]
     base = trace.partition_at(0)
     base_keys: dict[Addr, tuple] | None = None

@@ -110,6 +110,31 @@ def test_ladder_aorb0_flag(capsys):
     assert ("point", "c:m-1") in kinds and ("strand", "S:m") in kinds
 
 
+def chain_orbit(prefix: str) -> set:
+    return {("point", f"{prefix}c:m-1", None), ("point", f"{prefix}c:m", None),
+            ("strand", f"{prefix}S:m", "all")}
+
+
+@pytest.mark.parametrize("term,locator,expected", [
+    ("strand", "z:m", {("point", "A", None), ("strand", "z", "fwd-tail(m)")}),
+    ("cat(strand)", "S:4:m",
+     {("point", "c:3", None), ("strand", "S:4", "fwd-tail(m)")}),
+    ("ramp", "B1/K1/c:m", chain_orbit("B1/K1/")),
+    ("cat(cat(strand))", "K1/c:m", chain_orbit("K1/")),
+    ("cat(ramp)", "K2/B1/K0/c:m", chain_orbit("K2/B1/K0/")),
+])
+def test_ladder_aorb0_generic_index_below_the_top_level(capsys, term, locator,
+                                                       expected):
+    # only the trailing index shifts: family indices of the prefix and
+    # the orbit indices of other strands stay concrete
+    code, out = run_cli(capsys, "ladder", term, "--aorb0", locator)
+    assert code == 0
+    rep = json.loads(out)["aorb0"]
+    assert rep["generic_index"] == "m"
+    assert {(c["kind"], c.get("at") or c.get("region"), c.get("profile"))
+            for c in rep["components"]} == expected
+
+
 def test_locator_error_names_the_typed_locator(capsys):
     code = main(["ladder", "cat(ramp)", "--aorb0", "K0/top"])
     err = capsys.readouterr().err

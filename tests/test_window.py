@@ -1,13 +1,16 @@
+import dataclasses
 import importlib
+import random
 
 import pytest
 
 from fixfactor.decomposition import stabilize
-from fixfactor.errors import CoverError, SizeLimitError
+from fixfactor.errors import CoverError, LocatorError, SizeLimitError
 from fixfactor.ladder import build_ladder, ladder_trace, window, window_check
 from fixfactor.ladder.sets import ladder_aorb0_addr
 from fixfactor.ladder.space import TOP, child_term, term_at
-from fixfactor.ladder.trace import LadderTrace
+from fixfactor.ladder.terms import ramp_block_term, term_interior_merge, term_stab
+from fixfactor.ladder.trace import LadderTrace, class_key
 from fixfactor.ladder.window import (
     WindowCheckReport,
     check_orbit_set,
@@ -237,3 +240,96 @@ def test_oversized_window_refused_before_enumeration(term, cuts):
     with pytest.raises(SizeLimitError):
         window(build_ladder(term), *cuts)
 
+
+def test_window_check_validates_every_window_address():
+    # a frontier address is audited only by check_trace, whose key walk
+    # would give this non-point a class without complaint
+    sp = build_ladder("ramp")
+    w = window(sp, 3, 3)
+    bad = (("copy", 0), ("A",))
+    w = dataclasses.replace(w, addrs=w.addrs + (bad,), frontier=w.frontier | {bad})
+    with pytest.raises(LocatorError):
+        window_check(sp, w, ladder_trace(sp, W2))
+    with pytest.raises(LocatorError):
+        class_key(sp, W2, bad)
+
+
+def reference_key(space, degree, addr) -> tuple:
+    """The class key by the earlier recursion, which compares the degree
+    with the ordinal thresholds at every node it passes."""
+    space.validate(addr)
+    if degree >= term_stab(space.term):
+        return ("all",)
+    if addr == TOP:
+        return ("top",)
+    return _reference_key(space.term, (), degree, addr)
+
+
+def _reference_key(term, path, d, addr) -> tuple:
+    if d >= term_interior_merge(term):
+        return ("sub", path)
+    if term.kind == "cat":
+        step = addr[0]
+        return _reference_key(term.child, path + (step,), d, addr[1:])
+    k = d.as_int()
+    step = addr[0]
+    m = step[1]
+    if m <= k:
+        return ("init", path, k)
+    return _reference_key(ramp_block_term(m), path + (step,), d, addr[1:])
+
+
+def reference_closure(w, s: set) -> set:
+    """Window closure by the earlier loop: each step rebuilds its limit
+    candidates from the address, family by family."""
+    out = set(s)
+    work = list(s)
+    while work:
+        a = work.pop()
+        if a == TOP:
+            continue
+        cands = []
+        if a[-1][0] == "z":
+            fwd_t, bwd_t = w.space.strand_targets(a[:-1])
+            if a[-1][1] == w.strand_cut:
+                cands.append(fwd_t)
+            if a[-1][1] == -w.strand_cut:
+                cands.append(bwd_t)
+        for i, step in enumerate(a):
+            if step[0] in ("copy", "block") and w.family_nodes.get(a[:i]) == step[1]:
+                cands.append(w.space.subtree_top(a[:i]))
+        for c in cands:
+            if c in w.addr_set and c not in out:
+                out.add(c)
+                work.append(c)
+    return out
+
+
+FAST_PATH_WINDOWS = [
+    *((t, c) for t in ("strand", "cat(strand)", "ramp", "cat(ramp)",
+                       "cat(cat(strand))", "cat(cat(ramp))")
+      for c in ((1, 1), (3, 3), (5, 6))),
+    ("ramp", (8, 8)),
+]
+
+
+@pytest.mark.parametrize("term,cuts", FAST_PATH_WINDOWS)
+def test_key_walk_matches_reference_recursion(term, cuts):
+    sp = build_ladder(term)
+    w = window(sp, *cuts)
+    assert TOP in w.addr_set
+    for degree, part in ladder_trace(sp, W2).entries:
+        for a in w.addrs:
+            assert part.key_of(a) == reference_key(sp, degree, a), (str(degree), a)
+
+
+@pytest.mark.parametrize("term,cuts", FAST_PATH_WINDOWS)
+def test_closure_w_matches_reference_loop(term, cuts):
+    sp = build_ladder(term)
+    w = window(sp, *cuts)
+    rng = random.Random(f"{term}{cuts}")
+    frontier = sorted(w.frontier)
+    for _ in range(40):
+        seed = set(rng.sample(w.addrs, rng.randint(1, min(12, len(w.addrs)))))
+        seed |= set(rng.sample(frontier, rng.randint(0, min(12, len(frontier)))))
+        assert w.closure_w(seed) == reference_closure(w, seed)
