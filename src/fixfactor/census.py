@@ -41,17 +41,15 @@ from .decomposition import (
 )
 from .errors import SizeLimitError, UnknownNameError
 from .stability import (
+    StabilityTable,
     finest_abs_stable_partition,
     invariant_core_mask,
     invariant_core_reference,
-    is_absolutely_stable,
-    is_stable_plain_mask,
-    stable_degree_verdicts,
+    stability_table,
 )
 from .topology import (
     FiniteSpace,
     FiniteSystem,
-    PointSet,
     SelfMap,
     _iter_bits,
     is_discrete,
@@ -61,7 +59,6 @@ from .topology import (
 LABELED_LIMIT = 5
 ISO_LIMIT = 6
 SUBSET_SEED = 20260809
-SATURATION_SAMPLES = 8
 
 _POINT_NAMES = "abcdefgh"
 
@@ -307,11 +304,32 @@ class CensusReport:
 @dataclass(frozen=True)
 class Analysis:
     """Everything the checks read about one system, each derived once; the
-    quotient and the finest absolutely stable partition on first use."""
+    per-system tables, the quotient and the finest absolutely stable
+    partition on first use."""
 
     sys: FiniteSystem
     trace: DegreeTrace
     oracle: Partition
+
+    @functools.cached_property
+    def aorb0(self) -> tuple[int, ...]:
+        """``aorb0_mask`` of each point."""
+        return tuple(aorb0_mask(self.sys, i) for i in range(self.sys.n))
+
+    @functools.cached_property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        """``aorb_succ_mask`` of each point at each non-final trace entry.
+
+        ``stabilize`` stops only when the last two partitions have the same
+        blocks, so ``succ[-1]`` are the orbits at the stationary partition.
+        """
+        return tuple(tuple(aorb_succ_mask(self.sys, p, i) for i in range(self.sys.n))
+                     for _, p in self.trace.entries[:-1])
+
+    @functools.cached_property
+    def stability(self) -> StabilityTable:
+        """Plain stability and the per-degree verdicts of each nonempty mask."""
+        return stability_table(self.sys, self.trace)
 
     @functools.cached_property
     def quotient(self) -> QuotientResult:
@@ -319,7 +337,7 @@ class Analysis:
 
     @functools.cached_property
     def finest(self) -> Partition:
-        return finest_abs_stable_partition(self.sys, trace=self.trace)
+        return finest_abs_stable_partition(self.sys, stability=self.stability)
 
 
 def analyze(sys: FiniteSystem) -> Analysis:
@@ -347,13 +365,12 @@ def check_stabilization_zero(a: Analysis) -> str | None:
 
 
 def check_definition_direct(a: Analysis) -> str | None:
-    sys = a.sys
-    p = a.trace.stationary_partition
-    for x in sys.space.points:
-        if aorb0_mask(sys, sys.space.idx(x)) != reference_intersection(sys, "base", x).mask:
+    base = reference_intersection(a.sys, "base")
+    succ = reference_intersection(a.sys, "succ", a.trace.stationary_partition)
+    for i, x in enumerate(a.sys.space.points):
+        if a.aorb0[i] != base[i]:
             return f"aorb0({x}) differs from the definition-direct intersection"
-        direct = reference_intersection(sys, "succ", x, p).mask
-        if aorb_succ_mask(sys, p, sys.space.idx(x)) != direct:
+        if a.succ[-1][i] != succ[i]:
             return f"aorb_succ({x}) differs from the definition-direct intersection"
     return None
 
@@ -385,10 +402,7 @@ def check_class_invariance(a: Analysis) -> str | None:
 
 def check_saturation_equivalences(a: Analysis) -> str | None:
     p = a.trace.stationary_partition
-    rng = random.Random(SUBSET_SEED + a.sys.n)
-    full = a.sys.space.full_mask
-    for _ in range(SATURATION_SAMPLES):
-        s = rng.randrange(1, full + 1)
+    for s in range(1, a.sys.space.full_mask + 1):
         sat = p.saturate_mask(s)
         sub = sat & ~s == 0             # classes(S) subset of S
         eq = sat == s                   # classes(S) == S
@@ -415,29 +429,31 @@ def check_quotient_neighborhood(a: Analysis) -> str | None:
         pulled = 0
         for j in _iter_bits(acc):  # quotient point j is class j of p
             pulled |= p.classes[j]
-        if pulled != aorb_succ_mask(sys, p, x):
+        if pulled != a.succ[-1][x]:
             return f"quotient-neighborhood identity fails at {sys.space.points[x]}"
     return None
 
 
 def check_prolongations(a: Analysis) -> str | None:
     sys = a.sys
-    for x in sys.space.points:
+    direct_d1, direct_d2 = prolongation_reference(sys)
+    for i, x in enumerate(sys.space.points):
         d1 = prolongation_D1(sys, x).mask
-        if d1 != aorb0_mask(sys, sys.space.idx(x)):
+        if d1 != a.aorb0[i]:
             return f"D1({x}) != aorb0({x})"
         if prolongation_D2(sys, x).mask != d1:
             return f"D2({x}) != D1({x})"
-        if prolongation_reference(sys, "D1", x).mask != d1:
+        if direct_d1[i] != d1:
             return f"definition-direct D1({x}) differs"
-        if prolongation_reference(sys, "D2", x).mask != d1:
+        if direct_d2[i] != d1:
             return f"definition-direct D2({x}) differs"
     return None
 
 
 def check_oracle_classes_absolutely_stable(a: Analysis) -> str | None:
     for m in a.oracle.classes:
-        if not is_absolutely_stable(a.sys, PointSet(a.sys.space, m), a.trace):
+        plain, verdicts = a.stability[m]
+        if not (plain and all(verdicts)):
             return f"oracle class {a.sys.space.names(m)} is not absolutely stable"
     return None
 
@@ -449,9 +465,10 @@ def check_finest_abs_stable(a: Analysis) -> str | None:
 
 
 def check_degree_monotonicity(a: Analysis) -> str | None:
+    if len(a.trace.entries) == 2:
+        return None  # one degree below stationarity: nothing to compare
     sys = a.sys
-    for mask in range(1, sys.space.full_mask + 1):
-        verdicts = stable_degree_verdicts(sys, a.trace, mask)
+    for mask, (_, verdicts) in a.stability.items():
         # once false at a lower degree, must stay false above
         for lo in range(len(verdicts)):
             for hi in range(lo + 1, len(verdicts)):
@@ -470,23 +487,21 @@ def check_containment_lemma(a: Analysis) -> str | None:
     degree d stays inside the set; for an absolutely stable set the base
     orbit and base class stay inside as well.
     """
-    sys, trace = a.sys, a.trace
-    base = trace.partition_at(0)
-    for mask in range(1, sys.space.full_mask + 1):
-        verdicts = stable_degree_verdicts(sys, trace, mask)
+    sys = a.sys
+    base = a.trace.partition_at(0)
+    for mask, (plain, verdicts) in a.stability.items():
         for d, stable in enumerate(verdicts):
             if stable:
-                p = trace.partition_at(d)
                 for i in _iter_bits(mask):
-                    if aorb_succ_mask(sys, p, i) & ~mask:
+                    if a.succ[d][i] & ~mask:
                         return (
                             f"degree-{d} stable set {sys.space.names(mask)} does "
                             f"not contain the degree-{d + 1} orbit of "
                             f"{sys.space.points[i]}"
                         )
-        if is_stable_plain_mask(sys, mask) and all(verdicts):
+        if plain and all(verdicts):
             for i in _iter_bits(mask):
-                if aorb0_mask(sys, i) & ~mask:
+                if a.aorb0[i] & ~mask:
                     return (
                         f"absolutely stable set {sys.space.names(mask)} does not "
                         f"contain aorb0({sys.space.points[i]})"
@@ -507,11 +522,11 @@ def check_plain_containment_probe(a: Analysis) -> str | None:
     check rather than requiring it; its counterexamples are expected.
     """
     sys = a.sys
-    for mask in range(1, sys.space.full_mask + 1):
-        if not is_stable_plain_mask(sys, mask):
+    for mask, (plain, _) in a.stability.items():
+        if not plain:
             continue
         for i in _iter_bits(mask):
-            if aorb0_mask(sys, i) & ~mask:
+            if a.aorb0[i] & ~mask:
                 return (
                     f"plain-stable {sys.space.names(mask)} misses part of "
                     f"aorb0({sys.space.points[i]})"
@@ -521,10 +536,9 @@ def check_plain_containment_probe(a: Analysis) -> str | None:
 
 def check_invariant_core_reference(a: Analysis) -> str | None:
     sys = a.sys
+    want = invariant_core_reference(sys)
     for mask in range(1, sys.space.full_mask + 1):
-        got = invariant_core_mask(sys, mask)
-        want = invariant_core_reference(sys, PointSet(sys.space, mask)).mask
-        if got != want:
+        if invariant_core_mask(sys, mask) != want[mask]:
             return f"invariant core of {sys.space.names(mask)} differs from reference"
     return None
 

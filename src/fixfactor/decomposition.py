@@ -84,10 +84,12 @@ class Partition:
         return tuple(PointSet(self.space, m) for m in self.classes)
 
     def saturate_mask(self, mask: int) -> int:
-        out = mask
-        for m in self.classes:
-            if m & mask:
-                out |= m
+        """Union of the classes that meet the mask, one step per class met."""
+        out = rest = mask
+        while rest:
+            m = self.classes[self.class_of[(rest & -rest).bit_length() - 1]]
+            out |= m
+            rest &= ~m
         return out
 
     def is_saturated_mask(self, mask: int) -> bool:
@@ -199,13 +201,17 @@ def aorb_succ(sys: FiniteSystem, p: Partition, x: str) -> PointSet:
     return PointSet(sys.space, aorb_succ_mask(sys, p, sys.space.idx(x)))
 
 
-def reference_intersection(sys: FiniteSystem, mode: str, x: str,
-                           p: Partition | None = None) -> PointSet:
-    """Definition-direct oracle for aorb0 / aorb_succ.
+def reference_intersection(sys: FiniteSystem, mode: str,
+                           p: Partition | None = None) -> tuple[int, ...]:
+    """Definition-direct oracle for aorb0 / aorb_succ at every point, as one
+    mask per point index, from one enumeration of the admissible sets.
 
-    mode="base": intersect all closed invariant neighborhoods of x.
+    mode="base": intersect all closed invariant neighborhoods of x.  Each
+    closed invariant candidate is intersected into every x with U_x in it.
     mode="succ": intersect, over all open P-saturated U containing x, the
     least closed P-saturated superset of U (enumerated, not collapsed).
+    Each open saturated candidate's superset is intersected into every x
+    in the candidate.
     The size bound is ``REFERENCE_BOUND`` for "base" and the smaller
     ``SUCC_REFERENCE_BOUND`` for "succ".
     """
@@ -213,35 +219,33 @@ def reference_intersection(sys: FiniteSystem, mode: str, x: str,
     space = sys.space
     if space.n > bound:
         raise SizeLimitError(f"{space.n} points exceeds enumeration bound {bound}")
-    i = space.idx(x)
-    ui = space.up[i]
-    acc = space.full_mask
+    acc = [space.full_mask] * space.n
     if mode == "base":
         for cand in range(1 << space.n):
-            if cand & ui != ui:
-                continue  # not a neighborhood of x
             if not space.is_closed_mask(cand):
                 continue
             if sys.map.image_mask(cand) & ~cand:
                 continue
-            acc &= cand
-        return PointSet(space, acc)
+            for i in _iter_bits(cand):
+                if space.up[i] & ~cand == 0:  # a neighborhood of point i
+                    acc[i] &= cand
+        return tuple(acc)
     if mode == "succ":
         if p is None:
             raise CoverError("mode 'succ' needs a partition")
+        closed_saturated = [sup for sup in range(1 << space.n)
+                            if space.is_closed_mask(sup) and p.is_saturated_mask(sup)]
         for cand in range(1 << space.n):
-            if not cand >> i & 1:
-                continue
             if not space.is_open_mask(cand) or not p.is_saturated_mask(cand):
                 continue
             # least closed saturated superset, itself by enumeration
             best = space.full_mask
-            for sup in range(1 << space.n):
-                if sup & cand == cand and space.is_closed_mask(sup) \
-                        and p.is_saturated_mask(sup):
+            for sup in closed_saturated:
+                if sup & cand == cand:
                     best &= sup
-            acc &= best
-        return PointSet(space, acc)
+            for i in _iter_bits(cand):
+                acc[i] &= best
+        return tuple(acc)
     raise CoverError(f"unknown mode {mode!r}")
 
 
@@ -294,6 +298,17 @@ def stabilize(sys: FiniteSystem) -> DegreeTrace:
 
     On a finite space each non-final step strictly coarsens the partition,
     so the loop ends within |K| iterations and limit degrees never arise.
+
+    In fact it ends after one step, at degree 0.  A class C of the base
+    partition is the union of aorb0(x) over its points x, because the
+    classes are generated by these sets and each holds its own point.
+    Each aorb0(x) contains the open U_x, so C is the union of the U_x and
+    is open; as a finite union of closed invariant sets C is also closed
+    and invariant.  So the least saturated open superset of {x} is C(x),
+    and it is its own least closed saturated superset: aorb_succ(x) =
+    C(x), and ``degree_step`` returns the base partition unchanged.  The
+    loop stays general, so that a step breaking this shows in the trace
+    (the census asserts degree 0 on every system).
     """
     entries: list[tuple[OrdinalCNF, Partition]] = []
     p = sorb0_partition(sys)
@@ -389,26 +404,28 @@ def prolongation_D2(sys: FiniteSystem, x: str) -> PointSet:
     return PointSet(space, space.closure_mask(acc))
 
 
-def prolongation_reference(sys: FiniteSystem, which: str, x: str) -> PointSet:
-    """Definition-direct prolongations: intersect over all open U containing x."""
+def prolongation_reference(sys: FiniteSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Definition-direct prolongations at every point, as (D1, D2) with one
+    mask per point index: each intersects, over all open U containing x,
+    its value on U.  One enumeration of the open sets computes D1 and D2 of
+    each once and intersects them into every member."""
     space = sys.space
     if space.n > REFERENCE_BOUND:
         raise SizeLimitError(
             f"{space.n} points exceeds enumeration bound {REFERENCE_BOUND}")
-    i = space.idx(x)
-    acc = space.full_mask
-    for cand in range(1 << space.n):
-        if not cand >> i & 1 or not space.is_open_mask(cand):
+    d1 = [space.full_mask] * space.n
+    d2 = [space.full_mask] * space.n
+    for cand in range(1, 1 << space.n):
+        if not space.is_open_mask(cand):
             continue
-        if which == "D1":
-            acc &= _d1_set_mask(sys, cand)
-        elif which == "D2":
-            union = 0
-            cur = _d1_set_mask(sys, cand)
-            while cur & ~union:
-                union |= cur
-                cur = _d1_set_mask(sys, cur)
-            acc &= space.closure_mask(union)
-        else:
-            raise CoverError(f"unknown prolongation {which!r}")
-    return PointSet(space, acc)
+        first = _d1_set_mask(sys, cand)
+        union = 0
+        cur = first
+        while cur & ~union:
+            union |= cur
+            cur = _d1_set_mask(sys, cur)
+        second = space.closure_mask(union)
+        for i in _iter_bits(cand):
+            d1[i] &= first
+            d2[i] &= second
+    return tuple(d1), tuple(d2)

@@ -55,20 +55,29 @@ def invariant_core(sys: FiniteSystem, m: PointSet) -> PointSet:
     return PointSet(sys.space, invariant_core_mask(sys, m.mask))
 
 
-def invariant_core_reference(sys: FiniteSystem, m: PointSet) -> PointSet:
-    """Definition-direct core by enumerating invariant neighborhoods."""
+def invariant_core_reference(sys: FiniteSystem) -> tuple[int, ...]:
+    """Definition-direct core of every mask, indexed by the mask, by
+    enumerating invariant neighborhoods.
+
+    The invariant candidates and their interiors are found once; each is
+    intersected into every mask inside its interior (the masks it is a
+    neighborhood of) by a walk over the interior's submasks.
+    """
     space = sys.space
     if space.n > REFERENCE_BOUND:
         raise SizeLimitError(
             f"{space.n} points exceeds enumeration bound {REFERENCE_BOUND}")
-    acc = space.full_mask
+    acc = [space.full_mask] * (1 << space.n)
     for cand in range(1 << space.n):
-        if m.mask & ~space.interior_mask(cand):
-            continue  # not a neighborhood of the whole set
         if sys.map.image_mask(cand) & ~cand:
             continue
-        acc &= cand
-    return PointSet(space, acc)
+        interior = sub = space.interior_mask(cand)
+        while True:
+            acc[sub] &= cand
+            if not sub:
+                break
+            sub = (sub - 1) & interior
+    return tuple(acc)
 
 
 def is_stable_plain_mask(sys: FiniteSystem, mask: int) -> bool:
@@ -90,6 +99,17 @@ def stable_degree_verdicts(sys: FiniteSystem, trace: DegreeTrace,
     trace entry repeats the stationary partition and is left out."""
     return tuple(stable_degree_value_mask(sys, p, mask) == mask
                  for _, p in trace.entries[:-1])
+
+
+StabilityTable = dict[int, tuple[bool, tuple[bool, ...]]]
+
+
+def stability_table(sys: FiniteSystem, trace: DegreeTrace) -> StabilityTable:
+    """For every nonempty mask, whether it is plainly stable and its
+    ``stable_degree_verdicts``; absolutely stable means both hold."""
+    return {mask: (is_stable_plain_mask(sys, mask),
+                   stable_degree_verdicts(sys, trace, mask))
+            for mask in range(1, sys.space.full_mask + 1)}
 
 
 def is_stable_degree(sys: FiniteSystem, m: PointSet, d: OrdinalCNF | int,
@@ -145,24 +165,23 @@ def _iter_partitions(n: int):
 
 
 def finest_abs_stable_partition(sys: FiniteSystem,
-                                trace: DegreeTrace | None = None) -> Partition:
+                                stability: StabilityTable | None = None) -> Partition:
     """Finest partition whose every class is absolutely stable.
 
     Enumerates restricted growth strings, rejecting a partition at its
-    first non-stable class; class verdicts are memoized across candidates.
+    first class that is not absolutely stable by the stability table
+    (built from ``stabilize`` when not given).
     """
     n = sys.n
     if n > PARTITION_SEARCH_BOUND:
         raise SizeLimitError(
             f"{n} points exceeds partition search bound {PARTITION_SEARCH_BOUND}")
-    if trace is None:
-        trace = stabilize(sys)
-    verdict: dict[int, bool] = {}
+    if stability is None:
+        stability = stability_table(sys, stabilize(sys))
 
     def class_ok(mask: int) -> bool:
-        if mask not in verdict:
-            verdict[mask] = is_absolutely_stable(sys, PointSet(sys.space, mask), trace)
-        return verdict[mask]
+        plain, verdicts = stability[mask]
+        return plain and all(verdicts)
 
     candidates: list[Partition] = []
     for rgs in _iter_partitions(n):

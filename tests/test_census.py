@@ -166,3 +166,41 @@ def test_finest_abs_stable_catches_a_too_coarse_oracle(monkeypatch):
     monkeypatch.setattr(census, "oracle_partition", merged)
     report = run_census(3, up_to_iso=True, checks=("finest-abs-stable",))
     assert report.checks["finest-abs-stable"].failed == 9
+
+
+# Each mutant replaces the binding through which the census analysis reads
+# an orbit or core, and the definition-direct guard on it must fire: the
+# per-system tables are compared with an enumeration, never with themselves.
+
+def failed_checks(report):
+    return {name for name, c in report.checks.items() if c.failed} - set(census.REPORTED_CHECKS)
+
+
+def test_guards_fire_on_an_aorb0_without_closure(monkeypatch):
+    monkeypatch.setattr(census, "aorb0_mask",
+                        lambda sys_, i: sys_.map.orbit_mask(sys_.space.up[i]))
+    report = run_census(3, checks=census.ALL_CHECK_NAMES)
+    assert failed_checks(report) == {"definition-direct", "prolongation-identities"}
+
+
+def test_guards_fire_on_an_aorb_succ_without_saturation(monkeypatch):
+    # Skipping saturation in min_saturated_open_mask alone changes nothing on
+    # a finite system: the classes of the stationary partition are clopen,
+    # so any seed between {x} and C(x) closes and saturates to C(x).
+    monkeypatch.setattr(census, "aorb_succ_mask",
+                        lambda sys_, p, i: sys_.space.closure_mask(sys_.space.up[i]))
+    report = run_census(3, checks=census.ALL_CHECK_NAMES)
+    assert failed_checks(report) == {"definition-direct", "quotient-neighborhood"}
+
+
+def test_guard_fires_on_an_invariant_core_without_the_orbit(monkeypatch):
+    def open_hull(sys_, mask):
+        out = 0
+        for i in range(sys_.n):
+            if mask >> i & 1:
+                out |= sys_.space.up[i]
+        return out
+
+    monkeypatch.setattr(census, "invariant_core_mask", open_hull)
+    report = run_census(3, checks=census.ALL_CHECK_NAMES)
+    assert failed_checks(report) == {"invariant-core-reference"}

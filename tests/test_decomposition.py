@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -243,7 +244,7 @@ def test_aorb_succ_swap_definition_direct():
     p = sorb0_partition(sys_)
     got = aorb_succ(sys_, p, "a")
     assert members(got) == {"a", "b"}
-    assert got.mask == reference_intersection(sys_, "succ", "a", p).mask
+    assert got.mask == reference_intersection(sys_, "succ", p)[sys_.space.idx("a")]
 
 
 def test_aorb_succ_one_class_whole():
@@ -261,21 +262,32 @@ def test_aorb_succ_sierpinski_const_whole():
 
 def test_reference_intersection_sierpinski():
     sys_ = sierpinski("id")
-    assert members(reference_intersection(sys_, "base", "b")) == {"a", "b"}
+    space = sys_.space
+    got = reference_intersection(sys_, "base")[space.idx("b")]
+    assert members(PointSet(space, got)) == {"a", "b"}
 
 
 def test_reference_intersection_size_guard():
     sys_ = discrete_cycle(REFERENCE_BOUND + 1)
     with pytest.raises(SizeLimitError):
-        reference_intersection(sys_, "base", "0")
+        reference_intersection(sys_, "base")
 
 
 def test_reference_intersection_succ_has_its_own_bound():
     sys_ = discrete_cycle(SUCC_REFERENCE_BOUND + 1)
     p = sorb0_partition(sys_)
     with pytest.raises(SizeLimitError):
-        reference_intersection(sys_, "succ", "0", p)
-    assert reference_intersection(sys_, "base", "0").mask == aorb0_mask(sys_, 0)
+        reference_intersection(sys_, "succ", p)
+    assert reference_intersection(sys_, "base") == \
+        tuple(aorb0_mask(sys_, i) for i in range(sys_.n))
+
+
+def test_reference_intersection_rejects_bad_arguments():
+    sys_ = sierpinski("id")
+    with pytest.raises(CoverError):
+        reference_intersection(sys_, "succ")
+    with pytest.raises(CoverError):
+        reference_intersection(sys_, "neither")
 
 
 # ---------------------------------------------------------- degree_step
@@ -355,6 +367,16 @@ def quadratic_generated_partition(space, cover):
     return Partition.from_class_of(space, [find(i) for i in range(n)])
 
 
+def saturate_mask_by_class_scan(p, mask):
+    """Reference: the union of every class that meets the mask, by a scan
+    over all classes."""
+    out = mask
+    for m in p.classes:
+        if m & mask:
+            out |= m
+    return out
+
+
 def per_point_degree_step(sys_, p):
     """Reference: one successor orbit per point, merged quadratically."""
     return quadratic_generated_partition(
@@ -377,9 +399,16 @@ def assert_kernel_matches_references(sys_):
     trace = stabilize(sys_)
     assert len(trace.entries) == len(ref_trace)
     assert trace.stabilization_degree.as_int() == len(ref_trace) - 2
+    if n <= 8:
+        masks = range(1 << n)
+    else:
+        rng = random.Random(n)
+        masks = [rng.getrandbits(n) for _ in range(64)]
     for (_, part), want in zip(trace.entries, ref_trace):
         assert part.same_blocks(want)
         assert degree_step(sys_, part).same_blocks(per_point_degree_step(sys_, part))
+        for s in masks:
+            assert part.saturate_mask(s) == saturate_mask_by_class_scan(part, s)
 
 
 def test_kernel_matches_references_on_census():
@@ -398,6 +427,93 @@ def test_kernel_matches_references_on_window_dump():
     sys_ = window(build_ladder("ramp"), 5, 6).to_finite_system()
     assert sys_.n == 883
     assert_kernel_matches_references(sys_)
+
+
+# ---------- per-point enumerations, the references for the all-points ones
+
+
+def per_point_reference_intersection(sys_, mode, i, p=None):
+    """Reference: the enumeration for point i alone, intersecting its closed
+    invariant neighborhoods ("base") or, over its open P-saturated
+    neighborhoods U, the enumerated least closed P-saturated superset of U
+    ("succ")."""
+    space = sys_.space
+    ui = space.up[i]
+    acc = space.full_mask
+    if mode == "base":
+        for cand in range(1 << space.n):
+            if cand & ui != ui:
+                continue  # not a neighborhood of x
+            if not space.is_closed_mask(cand):
+                continue
+            if sys_.map.image_mask(cand) & ~cand:
+                continue
+            acc &= cand
+        return acc
+    for cand in range(1 << space.n):
+        if not cand >> i & 1:
+            continue
+        if not space.is_open_mask(cand) or not p.is_saturated_mask(cand):
+            continue
+        best = space.full_mask
+        for sup in range(1 << space.n):
+            if sup & cand == cand and space.is_closed_mask(sup) \
+                    and p.is_saturated_mask(sup):
+                best &= sup
+        acc &= best
+    return acc
+
+
+def per_point_prolongation_reference(sys_, which, i):
+    """Reference: D1 or D2 of point i, intersected over its open sets."""
+    space = sys_.space
+
+    def d1_of(mask):
+        return space.closure_mask(sys_.map.orbit_mask(mask))
+
+    acc = space.full_mask
+    for cand in range(1 << space.n):
+        if not cand >> i & 1 or not space.is_open_mask(cand):
+            continue
+        if which == "D1":
+            acc &= d1_of(cand)
+        else:
+            union = 0
+            cur = d1_of(cand)
+            while cur & ~union:
+                union |= cur
+                cur = d1_of(cur)
+            acc &= space.closure_mask(union)
+    return acc
+
+
+def assert_all_points_references_match(sys_):
+    """Each all-points reference equals the per-point enumeration, "succ" on
+    each distinct trace partition and on the identity partition, whose
+    classes, unlike the trace's, need not be clopen."""
+    points = range(sys_.n)
+    assert reference_intersection(sys_, "base") == \
+        tuple(per_point_reference_intersection(sys_, "base", i) for i in points)
+    partitions = {part.classes: part for _, part in stabilize(sys_).entries}
+    partitions[None] = Partition.identity(sys_.space)
+    for p in partitions.values():
+        assert reference_intersection(sys_, "succ", p) == \
+            tuple(per_point_reference_intersection(sys_, "succ", i, p) for i in points)
+    d1, d2 = prolongation_reference(sys_)
+    assert d1 == tuple(per_point_prolongation_reference(sys_, "D1", i) for i in points)
+    assert d2 == tuple(per_point_prolongation_reference(sys_, "D2", i) for i in points)
+
+
+def test_all_points_references_match_per_point_on_census():
+    for n in range(1, 5):
+        for sys_ in enumerate_systems(n):
+            assert_all_points_references_match(sys_)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, SUCC_REFERENCE_BOUND])
+def test_all_points_references_match_per_point_on_random_systems(n):
+    for sys_ in random_systems(n, 40 >> (n - 5), seed=2000 + n):
+        assert_all_points_references_match(sys_)
 
 
 # -------------------------------------------------------------- quotient
@@ -514,5 +630,6 @@ def test_prolongations_match_orbits_small():
             assert d1.mask == aorb0(sys_, x).mask
             assert prolongation_D2(sys_, x).mask == d1.mask
             if sys_.n <= 8:
-                assert prolongation_reference(sys_, "D1", x).mask == d1.mask
-                assert prolongation_reference(sys_, "D2", x).mask == d1.mask
+                direct_d1, direct_d2 = prolongation_reference(sys_)
+                i = sys_.space.idx(x)
+                assert direct_d1[i] == direct_d2[i] == d1.mask

@@ -1,7 +1,7 @@
 import pytest
 
 from fixfactor.census import enumerate_systems, random_systems
-from fixfactor.decomposition import Partition, oracle_partition, stabilize
+from fixfactor.decomposition import REFERENCE_BOUND, Partition, oracle_partition, stabilize
 from fixfactor.errors import CoverError, OrdinalError, SizeLimitError
 from fixfactor.stability import (
     _iter_partitions,
@@ -48,8 +48,43 @@ def test_invariant_core_sierpinski_and_reference():
     # definition-direct cross-check by enumerating invariant neighborhoods
     for names in (["a"], ["b"], ["a", "b"]):
         s = pset(sys_, names)
-        assert invariant_core(sys_, s).mask == \
-            invariant_core_reference(sys_, s).mask
+        assert invariant_core(sys_, s).mask == invariant_core_reference(sys_)[s.mask]
+
+
+def per_mask_invariant_core_reference(sys_, mask):
+    """Reference: the enumeration for one mask, intersecting every invariant
+    candidate whose interior holds the mask."""
+    space = sys_.space
+    acc = space.full_mask
+    for cand in range(1 << space.n):
+        if mask & ~space.interior_mask(cand):
+            continue  # not a neighborhood of the whole set
+        if sys_.map.image_mask(cand) & ~cand:
+            continue
+        acc &= cand
+    return acc
+
+
+def assert_core_reference_matches_per_mask(sys_):
+    assert invariant_core_reference(sys_) == tuple(
+        per_mask_invariant_core_reference(sys_, mask) for mask in range(1 << sys_.n))
+
+
+def test_invariant_core_reference_matches_per_mask_on_census():
+    for n in range(1, 5):
+        for sys_ in enumerate_systems(n):
+            assert_core_reference_matches_per_mask(sys_)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_invariant_core_reference_matches_per_mask_on_random_systems(n):
+    for sys_ in random_systems(n, 40 >> (n - 5), seed=3000 + n):
+        assert_core_reference_matches_per_mask(sys_)
+
+
+def test_invariant_core_reference_size_guard():
+    with pytest.raises(SizeLimitError):
+        invariant_core_reference(discrete_cycle(REFERENCE_BOUND + 1))
 
 
 def test_invariant_core_empty_rejected():
