@@ -98,7 +98,11 @@ class StrandProfile:
 
 @dataclass
 class SymbolicSet:
-    """Normalized union of limit points and strand profiles."""
+    """Normalized union of limit points and strand profiles.
+
+    ``add_strand`` and ``invariance_step`` store only normalized profiles,
+    so every reader takes a stored profile as it is.
+    """
 
     space: LadderSpace
     pts: set[Addr] = field(default_factory=set)
@@ -133,7 +137,7 @@ class SymbolicSet:
     def key(self) -> tuple:
         return (
             tuple(sorted(self.pts)),
-            tuple(sorted((p, v.normalized()) for p, v in self.strands.items()
+            tuple(sorted((p, v) for p, v in self.strands.items()
                          if not v.is_empty())),
         )
 
@@ -147,7 +151,6 @@ class SymbolicSet:
         space = self.space
         new: list[Addr] = []
         for path, prof in self.strands.items():
-            prof = prof.normalized()
             fwd_t, bwd_t = space.strand_targets(path)
             if prof.full or prof.fwd is not None:
                 new.append(fwd_t)
@@ -164,7 +167,6 @@ class SymbolicSet:
         """Close under the forward dynamics; True if grew."""
         grew = False
         for path, prof in list(self.strands.items()):
-            prof = prof.normalized()
             fwd = prof.fwd
             bwd = prof.bwd
             full = prof.full
@@ -193,7 +195,6 @@ class SymbolicSet:
         for a in sorted(self.pts):
             comps.append((a, {"kind": "point", "at": space.render(a)}))
         for path, prof in sorted(self.strands.items()):
-            prof = prof.normalized()
             if prof.is_empty():
                 continue
             rep = space.render(path + (("z", 0),))
@@ -322,7 +323,6 @@ def _shift_key(s: SymbolicSet, loc: Addr, pos: int) -> tuple:
         return a[:pos] + ((a[pos][0], a[pos][1] - v),) + a[pos + 1:]
 
     def shift_profile(path: tuple, prof: StrandProfile) -> StrandProfile:
-        prof = prof.normalized()
         if path != loc[:pos] or loc[pos][0] != "z":
             return prof
         return StrandProfile(

@@ -18,7 +18,9 @@ true convergence tables) and compares against the symbolic answers on
 non-frontier points, where no slack is allowed.  Partition claims are
 audited for disjoint cover, forward invariance, monotone coarsening and
 agreement with the overlap-generated equivalence of the recomputed
-orbits.  The exported finite system uses a conservative encoding (limit
+orbits.  One pass over the non-frontier points recomputes each orbit once,
+audits the claim against it and merges it into that equivalence at once;
+each point's image is computed once for all degrees.  The exported finite system uses a conservative encoding (limit
 edges only at frontier points, the map frozen there) so that it parses
 and validates; it is an audit artifact, not an input for the finite
 stabilization pipeline, which would collapse any truncation to degree 0.
@@ -29,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ..errors import CoverError, SizeLimitError
-from ..ordinals import OrdinalCNF
+from ..errors import CoverError, InternalError, SizeLimitError
+from ..ordinals import ZERO, OrdinalCNF
 from .space import Addr, LadderSpace, TOP, base_addr, child_term
 from .sets import SymbolicSet, ladder_aorb0_addr, point_sources
 from .terms import LadderTerm
@@ -258,7 +260,6 @@ def _decode(sset: SymbolicSet, win: Window) -> set[Addr]:
             out.add(a)
     j_cut = win.strand_cut
     for path, prof in sset.strands.items():
-        prof = prof.normalized()
         for j in range(-j_cut, j_cut + 1):
             if prof.contains(j):
                 a = path + (("z", j),)
@@ -268,8 +269,9 @@ def _decode(sset: SymbolicSet, win: Window) -> set[Addr]:
 
 
 def check_orbit_set(win: Window, addr: Addr, claimed: SymbolicSet,
-                    report: WindowCheckReport):
-    """Necessary-condition audit of one base-degree orbit claim."""
+                    report: WindowCheckReport) -> set[Addr]:
+    """Necessary-condition audit of one base-degree orbit claim; returns
+    the orbit recomputed on the window."""
     space = win.space
     name = space.render(addr)
     decoded = _decode(claimed, win)
@@ -303,31 +305,40 @@ def check_orbit_set(win: Window, addr: Addr, claimed: SymbolicSet,
             f"aorb0({name}): disagreement with window recomputation at "
             f"{space.render(a)}"
         )
+    return recomputed
 
 
-def check_trace(win: Window, trace: LadderTrace, report: WindowCheckReport):
+def check_trace(win: Window, trace: LadderTrace,
+                report: WindowCheckReport) -> dict[Addr, tuple]:
+    """Audit every degree of the trace on the window: classes are invariant
+    and never split an earlier merge off the frontier.  Returns the class
+    key of every window point at degree 0, the trace's first entry."""
     space = win.space
+    if not trace.entries or trace.entries[0][0] != ZERO:
+        raise InternalError(f"the trace of {space.term} does not start at degree 0")
     # validated once here, since the key walk trusts its addresses
     for a in win.addrs:
         space.validate(a)
     nonfrontier = [a for a in win.addrs if a not in win.frontier]
-    base = trace.partition_at(0)
-    base_keys: dict[Addr, tuple] | None = None
+    # the image does not depend on the degree, and a fixed point cannot
+    # leave its class
+    moves = [(a, img) for a in nonfrontier
+             if (img := space.phi(a)) != a and img in win.addr_set]
+    base_keys: dict[Addr, tuple] = {}
     prev_keys: dict[Addr, tuple] | None = None
     prev_degree: OrdinalCNF | None = None
     for degree, part in trace.entries:
         report.checks_run += 1
         keys = {a: part.key_of(a) for a in win.addrs}
-        if part is base:
-            base_keys = keys
         # disjoint cover is automatic for a key function; check invariance
-        for a in win.addrs:
-            img = space.phi(a)
-            if img in win.addr_set and keys[a] != keys[img] and a not in win.frontier:
+        for a, img in moves:
+            if keys[a] != keys[img]:
                 report.violations.append(
                     f"degree {degree}: class of {space.render(a)} is not invariant"
                 )
-        if prev_keys is not None:
+        if prev_keys is None:
+            base_keys = keys
+        else:
             merged_to: dict[tuple, tuple] = {}
             for a in nonfrontier:
                 g = prev_keys[a]
@@ -339,12 +350,18 @@ def check_trace(win: Window, trace: LadderTrace, report: WindowCheckReport):
                     break
                 merged_to[g] = keys[a]
         prev_keys, prev_degree = keys, degree
-    # degree 0 must agree with the overlap-generated equivalence of the
-    # recomputed orbits, off the frontier
-    report.checks_run += 1
-    if base_keys is None:
-        base_keys = {a: base.key_of(a) for a in nonfrontier}
-    parent: dict[Addr, Addr] = {a: a for a in nonfrontier}
+    return base_keys
+
+
+def window_check(space: LadderSpace, win: Window,
+                 trace: LadderTrace) -> WindowCheckReport:
+    report = WindowCheckReport(str(space.term), (win.family_cut, win.strand_cut),
+                               0, [])
+    # One pass over the non-frontier points: each orbit is recomputed by
+    # its audit and unioned at once into the overlap equivalence, which
+    # keeps a root per point and an owner per covered point, not the orbit.
+    parent: dict[Addr, Addr] = {}
+    owner: dict[Addr, Addr] = {}
 
     def find(a: Addr) -> Addr:
         while parent[a] != a:
@@ -352,36 +369,30 @@ def check_trace(win: Window, trace: LadderTrace, report: WindowCheckReport):
             a = parent[a]
         return a
 
-    owner: dict[Addr, Addr] = {}
-    for a in nonfrontier:
-        for x in win.aorb0_w(a):
-            if x in owner:
-                ra, rb = find(a), find(owner[x])
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                owner[x] = a
-    window_blocks: dict[Addr, set[Addr]] = {}
-    key_blocks: dict[tuple, set[Addr]] = {}
-    for a in nonfrontier:
-        window_blocks.setdefault(find(a), set()).add(a)
-        key_blocks.setdefault(base_keys[a], set()).add(a)
-    if sorted(map(sorted, window_blocks.values())) != \
-            sorted(map(sorted, key_blocks.values())):
+    for addr in win.addrs:
+        if addr in win.frontier:
+            continue
+        parent[addr] = root = addr
+        orbit = check_orbit_set(win, addr, ladder_aorb0_addr(space, addr), report)
+        for x in orbit:
+            first = owner.setdefault(x, addr)
+            if first != addr:
+                other = find(first)
+                if other != root:
+                    parent[root] = other
+                    root = other
+    del owner
+    base_keys = check_trace(win, trace, report)
+    # degree 0 must agree with the overlap-generated equivalence off the
+    # frontier: two labelings have the same blocks exactly when pairing
+    # them is one-to-one
+    report.checks_run += 1
+    pairs = {(find(a), base_keys[a]) for a in parent}
+    if not len(pairs) == len({r for r, _ in pairs}) == len({k for _, k in pairs}):
         report.violations.append(
             "degree 0: window overlap equivalence disagrees with the "
             "symbolic base partition"
         )
-
-
-def window_check(space: LadderSpace, win: Window,
-                 trace: LadderTrace) -> WindowCheckReport:
-    report = WindowCheckReport(str(space.term), (win.family_cut, win.strand_cut),
-                               0, [])
-    for addr in win.addrs:
-        if addr not in win.frontier:
-            check_orbit_set(win, addr, ladder_aorb0_addr(space, addr), report)
-    check_trace(win, trace, report)
     return report
 
 

@@ -49,9 +49,6 @@ class OrdinalCNF:
     def omega(cls) -> "OrdinalCNF":
         return cls(((1, 1),))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_finite(self) -> bool:
         return not self.terms or self.terms[0][0] == 0
 
@@ -60,33 +57,11 @@ class OrdinalCNF:
             raise OrdinalError(f"{self} is not finite")
         return self.terms[0][1] if self.terms else 0
 
-    def is_limit(self) -> bool:
-        """Nonzero with no w^0 term."""
-        return bool(self.terms) and self.terms[-1][0] != 0
-
-    def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0] == 0
-
     def successor(self) -> "OrdinalCNF":
         if self.terms and self.terms[-1][0] == 0:
             e, c = self.terms[-1]
             return OrdinalCNF(self.terms[:-1] + ((e, c + 1),))
         return OrdinalCNF(self.terms + ((0, 1),))
-
-    def predecessor(self) -> "OrdinalCNF":
-        """Defined only for successors."""
-        if not self.is_successor():
-            raise OrdinalError(f"{self} is not a successor")
-        e, c = self.terms[-1]
-        if c > 1:
-            return OrdinalCNF(self.terms[:-1] + ((e, c - 1),))
-        return OrdinalCNF(self.terms[:-1])
-
-    def plus_int(self, n: int) -> "OrdinalCNF":
-        out = self
-        for _ in range(n):
-            out = out.successor()
-        return out
 
     def _key(self) -> tuple:
         return tuple(self.terms)

@@ -170,7 +170,10 @@ def finest_abs_stable_partition(sys: FiniteSystem,
 
     Enumerates restricted growth strings, rejecting a partition at its
     first class that is not absolutely stable by the stability table
-    (built from ``stabilize`` when not given).
+    (built from ``stabilize`` when not given), and folds every candidate
+    into the per-point meet of the candidates' classes.  A finest
+    candidate refines that meet and the meet refines every candidate, so
+    one exists exactly when the meet is itself a candidate.
     """
     n = sys.n
     if n > PARTITION_SEARCH_BOUND:
@@ -183,18 +186,19 @@ def finest_abs_stable_partition(sys: FiniteSystem,
         plain, verdicts = stability[mask]
         return plain and all(verdicts)
 
-    candidates: list[Partition] = []
+    found = False
+    meet = [sys.space.full_mask] * n
     for rgs in _iter_partitions(n):
         masks: dict[int, int] = {}
         for i, c in enumerate(rgs):
             masks[c] = masks.get(c, 0) | 1 << i
         if all(class_ok(m) for m in masks.values()):
-            candidates.append(Partition.from_class_of(sys.space, list(rgs)))
-    if not candidates:
+            found = True
+            meet = [m & masks[c] for m, c in zip(meet, rgs)]
+    if not found:
         raise InternalError("no partition into absolutely stable classes exists")
-    finest = [p for p in candidates if all(p.refines(q) for q in candidates)]
-    if not finest:
+    if not all(class_ok(m) for m in set(meet)):
         raise InternalError(
             "absolutely stable partitions have no finest element"
         )
-    return finest[0]
+    return Partition.from_class_of(sys.space, meet)

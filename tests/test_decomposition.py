@@ -36,6 +36,7 @@ from fixfactor.systems import (
     niedex_like,
     sierpinski,
 )
+from fixfactor.stability import _iter_partitions
 from fixfactor.topology import PointSet, is_discrete
 
 
@@ -197,6 +198,23 @@ def test_min_saturated_open_discrete_gives_class():
         got = min_saturated_open_nbhd(sys_, p, x)
         assert got.mask == p.class_mask(x)
         assert got.mask == brute_min_saturated_open(sys_, p, x)
+
+
+def assert_aorb_succ_matches_reference_at_every_partition(sys_):
+    points = range(sys_.n)
+    for rgs in _iter_partitions(sys_.n):
+        p = Partition.from_class_of(sys_.space, list(rgs))
+        assert tuple(aorb_succ_mask(sys_, p, i) for i in points) == \
+            reference_intersection(sys_, "succ", p), rgs
+
+
+def test_aorb_succ_matches_reference_at_every_partition():
+    # the census compares aorb_succ with its reference only at stationary
+    # partitions, whose classes are clopen and hide a fault in saturation
+    systems = [s for n in range(1, 5) for s in enumerate_systems(n, up_to_iso=True)]
+    systems += random_systems(5, 40, seed=3005) + random_systems(6, 20, seed=3006)
+    for sys_ in systems:
+        assert_aorb_succ_matches_reference_at_every_partition(sys_)
 
 
 def test_sorb_closure_identity_partition_is_closure():

@@ -79,7 +79,7 @@ def test_stabilization_bookkeeping():
     assert term_stab(parse_term("cat(strand)")) == OrdinalCNF.from_int(1)
     assert term_stab(cat_power(3)) == OrdinalCNF.from_int(3)
     assert term_stab(parse_term("ramp")) == OMEGA.successor()
-    assert term_stab(parse_term("cat(ramp)")) == OMEGA.plus_int(2)
+    assert term_stab(parse_term("cat(ramp)")) == parse_ordinal("w+2")
     assert term_interior_merge(parse_term("ramp")) == OMEGA
     assert term_interior_merge(parse_term("cat(ramp)")) == OMEGA.successor()
 
@@ -222,7 +222,7 @@ def test_ramp_blocks_do_not_leak_forward():
 
 def test_cat_ramp_trace_at_limit():
     tr = ladder_trace(build_ladder("cat(ramp)"), W2)
-    assert tr.stabilization_degree == OMEGA.plus_int(2)
+    assert tr.stabilization_degree == parse_ordinal("w+2")
     a0 = (("copy", 0), ("block", 0), ("copy", 0), ("A",))
     a1 = (("copy", 1), ("block", 0), ("copy", 0), ("A",))
     top = (("TOP",),)
@@ -232,7 +232,7 @@ def test_cat_ramp_trace_at_limit():
     p_next = tr.partition_at(OMEGA.successor())
     assert p_next.same_class(a0, a1)
     assert not p_next.same_class(a0, top)
-    assert tr.partition_at(OMEGA.plus_int(2)).class_count() == 1
+    assert tr.partition_at(parse_ordinal("w+2")).class_count() == 1
 
 
 def test_trace_degree_cap_error():

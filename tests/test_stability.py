@@ -2,7 +2,7 @@ import pytest
 
 from fixfactor.census import enumerate_systems, random_systems
 from fixfactor.decomposition import REFERENCE_BOUND, Partition, oracle_partition, stabilize
-from fixfactor.errors import CoverError, OrdinalError, SizeLimitError
+from fixfactor.errors import CoverError, InternalError, OrdinalError, SizeLimitError
 from fixfactor.stability import (
     _iter_partitions,
     finest_abs_stable_partition,
@@ -13,6 +13,7 @@ from fixfactor.stability import (
     is_stable_plain,
     is_stable_plain_mask,
     stability_report,
+    stability_table,
 )
 from fixfactor.systems import (
     chain,
@@ -153,6 +154,46 @@ def test_finest_abs_stable_size_guard():
     sys_ = discrete_cycle(7)
     with pytest.raises(SizeLimitError):
         finest_abs_stable_partition(sys_)
+
+
+def reference_finest_abs_stable_partition(sys_, stability=None):
+    """The finest absolutely stable partition by the earlier search: keep
+    every candidate and compare every pair with ``refines``."""
+    if stability is None:
+        stability = stability_table(sys_, stabilize(sys_))
+
+    def class_ok(mask):
+        plain, verdicts = stability[mask]
+        return plain and all(verdicts)
+
+    candidates = [Partition.from_class_of(sys_.space, list(rgs))
+                  for rgs in _iter_partitions(sys_.n)]
+    candidates = [p for p in candidates if all(class_ok(m) for m in p.classes)]
+    if not candidates:
+        raise InternalError("no partition into absolutely stable classes exists")
+    finest = [p for p in candidates if all(p.refines(q) for q in candidates)]
+    if not finest:
+        raise InternalError("absolutely stable partitions have no finest element")
+    return finest[0]
+
+
+def test_finest_abs_stable_matches_pairwise_reference():
+    labeled = [s for n in range(1, 5) for s in enumerate_systems(n)]
+    for sys_ in labeled + random_systems(5, 40, seed=5) + random_systems(6, 20, seed=6):
+        table = stability_table(sys_, stabilize(sys_))
+        assert finest_abs_stable_partition(sys_, table) == \
+            reference_finest_abs_stable_partition(sys_, table)
+
+
+def test_finest_abs_stable_without_finest_element_raises():
+    # {a,b}|{c} and {a}|{b,c} are candidates, but their meet a|b|c is not,
+    # since {b} is not absolutely stable
+    sys_ = build_system(["a", "b", "c"], [], {p: p for p in "abc"})
+    ok = {0b111, 0b011, 0b100, 0b001, 0b110}
+    table = {m: (m in ok, (True,)) for m in range(1, 8)}
+    for finest in (finest_abs_stable_partition, reference_finest_abs_stable_partition):
+        with pytest.raises(InternalError, match="no finest element"):
+            finest(sys_, table)
 
 
 def reference_finer_plain_witness(sys_, oracle=None):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from fixfactor.decomposition import stabilize
-from fixfactor.errors import CoverError, LocatorError, SizeLimitError
+from fixfactor.errors import CoverError, InternalError, LocatorError, SizeLimitError
 from fixfactor.ladder import build_ladder, ladder_trace, window, window_check
 from fixfactor.ladder.sets import ladder_aorb0_addr
 from fixfactor.ladder.space import TOP, child_term, term_at
@@ -221,6 +221,57 @@ def test_fault_injection_split_strand_class_detected():
     assert any("S:2:0 is not invariant" in v for v in rep.violations)
 
 
+class OneClass:
+    """A partition that merges every point into one class."""
+
+    def key_of(self, a):
+        return ("one",)
+
+
+class MoveOnePoint:
+    """A partition that moves one point into the class of another."""
+
+    def __init__(self, part, addr, to):
+        self.part, self.addr, self.to = part, addr, to
+
+    def key_of(self, a):
+        return self.part.key_of(self.to if a == self.addr else a)
+
+
+Z0 = (("copy", 1), ("z", 0))
+
+
+@pytest.mark.parametrize("make_bad", [
+    # coarser than the overlap equivalence: every block lies in one class
+    lambda p0: OneClass(),
+    # finer than the overlap equivalence: every class lies in one block
+    lambda p0: SplitOnePoint(p0, Z0),
+    # degree 0 has two classes, the interior and the top, and so does the
+    # overlap equivalence: as many classes as blocks, but not the same ones
+    lambda p0: MoveOnePoint(p0, Z0, TOP),
+], ids=["merged", "split", "moved"])
+def test_fault_injection_base_partition_detected(make_bad):
+    sp = build_ladder("cat(strand)")
+    w = window(sp, 3, 3)
+    tr = ladder_trace(sp, W2)
+    (d0, p0), *rest = tr.entries
+    bad = LadderTrace(sp, ((d0, make_bad(p0)), *rest),
+                      tr.stabilization_degree, tr.finite_degrees_truncated_at)
+    rep = window_check(sp, w, trace=bad)
+    assert ("degree 0: window overlap equivalence disagrees with the "
+            "symbolic base partition") in rep.violations
+
+
+def test_trace_not_starting_at_degree_0_is_internal_error():
+    sp = build_ladder("cat(strand)")
+    w = window(sp, 3, 3)
+    tr = ladder_trace(sp, W2)
+    bad = LadderTrace(sp, tr.entries[1:], tr.stabilization_degree,
+                      tr.finite_degrees_truncated_at)
+    with pytest.raises(InternalError):
+        window_check(sp, w, trace=bad)
+
+
 def test_window_point_cap_is_exact(monkeypatch):
     sp = build_ladder("cat(strand)")
     monkeypatch.setattr(window_mod, "WINDOW_POINT_CAP", 33)
@@ -333,3 +384,13 @@ def test_closure_w_matches_reference_loop(term, cuts):
         seed = set(rng.sample(w.addrs, rng.randint(1, min(12, len(w.addrs)))))
         seed |= set(rng.sample(frontier, rng.randint(0, min(12, len(frontier)))))
         assert w.closure_w(seed) == reference_closure(w, seed)
+
+
+def test_stored_strand_profiles_are_normalized():
+    # readers of a SymbolicSet take its stored profiles as they are
+    for term in ("strand", "cat(strand)", "ramp", "cat(ramp)"):
+        sp = build_ladder(term)
+        for cuts in ((3, 3), (5, 6), (7, 7)):
+            for a in window(sp, *cuts).addrs:
+                for prof in ladder_aorb0_addr(sp, a).strands.values():
+                    assert prof == prof.normalized(), (term, cuts, a)
