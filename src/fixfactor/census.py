@@ -43,8 +43,8 @@ from .errors import SizeLimitError, UnknownNameError
 from .stability import (
     StabilityTable,
     finest_abs_stable_partition,
-    invariant_core_mask,
     invariant_core_reference,
+    invariant_core_table,
     stability_table,
 )
 from .topology import (
@@ -418,14 +418,13 @@ def check_quotient_neighborhood(a: Analysis) -> str | None:
     sys = a.sys
     p = a.trace.stationary_partition
     qspace = a.quotient.quotient.space
+    closure = qspace.closure_table
+    closed = [cand for cand in range(1 << qspace.n) if closure[cand] == cand]
     for x, c in enumerate(p.class_of):
         acc = qspace.full_mask
-        for cand in range(1 << qspace.n):
-            if cand & qspace.up[c] != qspace.up[c]:
-                continue
-            if not qspace.is_closed_mask(cand):
-                continue
-            acc &= cand
+        for cand in closed:
+            if cand & qspace.up[c] == qspace.up[c]:
+                acc &= cand
         pulled = 0
         for j in _iter_bits(acc):  # quotient point j is class j of p
             pulled |= p.classes[j]
@@ -537,8 +536,9 @@ def check_plain_containment_probe(a: Analysis) -> str | None:
 def check_invariant_core_reference(a: Analysis) -> str | None:
     sys = a.sys
     want = invariant_core_reference(sys)
+    got = invariant_core_table(sys)
     for mask in range(1, sys.space.full_mask + 1):
-        if invariant_core_mask(sys, mask) != want[mask]:
+        if got[mask] != want[mask]:
             return f"invariant core of {sys.space.names(mask)} differs from reference"
     return None
 
@@ -642,7 +642,7 @@ def run_census(n: int, checks: tuple[str, ...] | None = None,
                     })
     return CensusReport(
         points=n,
-        num_topologies=sum(1 for _ in enumerate_preorders(n)),
+        num_topologies=sum(1 for _ in _preorder_up_masks(n)),
         num_systems=num_systems,
         checks=outcomes,
         stabilization_histogram=histogram,

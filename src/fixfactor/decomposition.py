@@ -14,11 +14,13 @@ the guard for every such collapse.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import CoverError, InternalError, InvarianceError, SizeLimitError
 from .ordinals import OrdinalCNF
 from .topology import (
+    REFERENCE_BOUND,
     FiniteSpace,
     FiniteSystem,
     PointSet,
@@ -26,9 +28,9 @@ from .topology import (
     _iter_bits,
     comparability_components,
     space_from_up_masks,
+    union_table,
 )
 
-REFERENCE_BOUND = 12
 SUCC_REFERENCE_BOUND = 8  # "succ" makes 2^n x 2^n passes where "base" makes 2^n
 
 
@@ -94,6 +96,11 @@ class Partition:
 
     def is_saturated_mask(self, mask: int) -> bool:
         return self.saturate_mask(mask) == mask
+
+    @functools.cached_property
+    def saturate_table(self) -> tuple[int, ...]:
+        """``saturate_mask`` of every mask, indexed by the mask."""
+        return union_table(self.classes[c] for c in self.class_of)
 
     def refines(self, other: "Partition") -> bool:
         """Every class of self is contained in a class of other."""
@@ -220,11 +227,11 @@ def reference_intersection(sys: FiniteSystem, mode: str,
     if space.n > bound:
         raise SizeLimitError(f"{space.n} points exceeds enumeration bound {bound}")
     acc = [space.full_mask] * space.n
+    closure = space.closure_table
     if mode == "base":
+        image = sys.map.image_table
         for cand in range(1 << space.n):
-            if not space.is_closed_mask(cand):
-                continue
-            if sys.map.image_mask(cand) & ~cand:
+            if closure[cand] != cand or image[cand] & ~cand:
                 continue
             for i in _iter_bits(cand):
                 if space.up[i] & ~cand == 0:  # a neighborhood of point i
@@ -233,10 +240,11 @@ def reference_intersection(sys: FiniteSystem, mode: str,
     if mode == "succ":
         if p is None:
             raise CoverError("mode 'succ' needs a partition")
+        opened, sat = space.open_table, p.saturate_table
         closed_saturated = [sup for sup in range(1 << space.n)
-                            if space.is_closed_mask(sup) and p.is_saturated_mask(sup)]
+                            if closure[sup] == sup and sat[sup] == sup]
         for cand in range(1 << space.n):
-            if not space.is_open_mask(cand) or not p.is_saturated_mask(cand):
+            if opened[cand] != cand or sat[cand] != cand:
                 continue
             # least closed saturated superset, itself by enumeration
             best = space.full_mask
@@ -413,18 +421,19 @@ def prolongation_reference(sys: FiniteSystem) -> tuple[tuple[int, ...], tuple[in
     if space.n > REFERENCE_BOUND:
         raise SizeLimitError(
             f"{space.n} points exceeds enumeration bound {REFERENCE_BOUND}")
+    closure, orbit, opened = space.closure_table, sys.map.orbit_table, space.open_table
     d1 = [space.full_mask] * space.n
     d2 = [space.full_mask] * space.n
     for cand in range(1, 1 << space.n):
-        if not space.is_open_mask(cand):
+        if opened[cand] != cand:
             continue
-        first = _d1_set_mask(sys, cand)
+        first = closure[orbit[cand]]
         union = 0
         cur = first
         while cur & ~union:
             union |= cur
-            cur = _d1_set_mask(sys, cur)
-        second = space.closure_mask(union)
+            cur = closure[orbit[cur]]
+        second = closure[union]
         for i in _iter_bits(cand):
             d1[i] &= first
             d2[i] &= second

@@ -312,7 +312,8 @@ def check_trace(win: Window, trace: LadderTrace,
                 report: WindowCheckReport) -> dict[Addr, tuple]:
     """Audit every degree of the trace on the window: classes are invariant
     and never split an earlier merge off the frontier.  Returns the class
-    key of every window point at degree 0, the trace's first entry."""
+    key at degree 0, the trace's first entry, of every non-frontier point
+    and of every in-window image of one."""
     space = win.space
     if not trace.entries or trace.entries[0][0] != ZERO:
         raise InternalError(f"the trace of {space.term} does not start at degree 0")
@@ -324,12 +325,14 @@ def check_trace(win: Window, trace: LadderTrace,
     # leave its class
     moves = [(a, img) for a in nonfrontier
              if (img := space.phi(a)) != a and img in win.addr_set]
+    # the checks read the keys of these points only
+    keyed = {*nonfrontier, *(img for _, img in moves)}
     base_keys: dict[Addr, tuple] = {}
     prev_keys: dict[Addr, tuple] | None = None
     prev_degree: OrdinalCNF | None = None
     for degree, part in trace.entries:
         report.checks_run += 1
-        keys = {a: part.key_of(a) for a in win.addrs}
+        keys = {a: part.key_of(a) for a in keyed}
         # disjoint cover is automatic for a key function; check invariance
         for a, img in moves:
             if keys[a] != keys[img]:

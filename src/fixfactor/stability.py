@@ -59,19 +59,21 @@ def invariant_core_reference(sys: FiniteSystem) -> tuple[int, ...]:
     """Definition-direct core of every mask, indexed by the mask, by
     enumerating invariant neighborhoods.
 
-    The invariant candidates and their interiors are found once; each is
-    intersected into every mask inside its interior (the masks it is a
-    neighborhood of) by a walk over the interior's submasks.
+    Each invariant candidate is intersected into every mask inside its
+    interior (the masks it is a neighborhood of) by a walk over the
+    interior's submasks.
     """
     space = sys.space
     if space.n > REFERENCE_BOUND:
         raise SizeLimitError(
             f"{space.n} points exceeds enumeration bound {REFERENCE_BOUND}")
-    acc = [space.full_mask] * (1 << space.n)
+    closure, image, full = space.closure_table, sys.map.image_table, space.full_mask
+    acc = [full] * (1 << space.n)
     for cand in range(1 << space.n):
-        if sys.map.image_mask(cand) & ~cand:
+        if image[cand] & ~cand:
             continue
-        interior = sub = space.interior_mask(cand)
+        # the interior is the complement of the closure of the complement
+        interior = sub = full & ~closure[full & ~cand]
         while True:
             acc[sub] &= cand
             if not sub:
@@ -101,14 +103,38 @@ def stable_degree_verdicts(sys: FiniteSystem, trace: DegreeTrace,
                  for _, p in trace.entries[:-1])
 
 
+def invariant_core_table(sys: FiniteSystem) -> tuple[int, ...]:
+    """``invariant_core_mask`` of every mask, indexed by the mask: the orbit
+    of the least open superset, read from the system's tables."""
+    orbit = sys.map.orbit_table
+    return tuple(orbit[u] for u in sys.space.open_table)
+
+
+def _degree_value_table(sys: FiniteSystem, p: Partition) -> list[int]:
+    """``stable_degree_value_mask`` of every nonempty mask (index 0 is 0):
+    the least open saturated superset by alternating the open and
+    saturation tables to a fixed point, then its least closed saturated
+    superset by alternating the closure and saturation tables."""
+    opened, closure, sat = sys.space.open_table, sys.space.closure_table, p.saturate_table
+    out = [0]
+    for mask in range(1, len(opened)):
+        while (grown := opened[sat[mask]]) != mask:
+            mask = grown
+        while (grown := sat[closure[mask]]) != mask:
+            mask = grown
+        out.append(mask)
+    return out
+
+
 StabilityTable = dict[int, tuple[bool, tuple[bool, ...]]]
 
 
 def stability_table(sys: FiniteSystem, trace: DegreeTrace) -> StabilityTable:
     """For every nonempty mask, whether it is plainly stable and its
     ``stable_degree_verdicts``; absolutely stable means both hold."""
-    return {mask: (is_stable_plain_mask(sys, mask),
-                   stable_degree_verdicts(sys, trace, mask))
+    core = invariant_core_table(sys)
+    values = [_degree_value_table(sys, p) for _, p in trace.entries[:-1]]
+    return {mask: (core[mask] == mask, tuple(v[mask] == mask for v in values))
             for mask in range(1, sys.space.full_mask + 1)}
 
 
@@ -149,31 +175,17 @@ def stability_report(sys: FiniteSystem, m: PointSet) -> StabilityReport:
     return StabilityReport(m, plain, by_degree, plain and all(verdicts))
 
 
-def _iter_partitions(n: int):
-    """All set partitions of range(n) as restricted growth strings."""
-    rgs = [0] * n
-
-    def rec(i: int, maxid: int):
-        if i == n:
-            yield tuple(rgs)
-            return
-        for c in range(maxid + 2):
-            rgs[i] = c
-            yield from rec(i + 1, max(maxid, c))
-
-    yield from rec(1, 0) if n > 1 else iter([(0,) * n])
-
-
 def finest_abs_stable_partition(sys: FiniteSystem,
                                 stability: StabilityTable | None = None) -> Partition:
     """Finest partition whose every class is absolutely stable.
 
-    Enumerates restricted growth strings, rejecting a partition at its
-    first class that is not absolutely stable by the stability table
-    (built from ``stabilize`` when not given), and folds every candidate
-    into the per-point meet of the candidates' classes.  A finest
-    candidate refines that meet and the meet refines every candidate, so
-    one exists exactly when the meet is itself a candidate.
+    Recurses over the partitions into absolutely stable classes (by the
+    stability table, built from ``stabilize`` when not given): the class of
+    the least uncovered point is each absolutely stable mask that holds it
+    and lies in the uncovered rest.  Every candidate is folded into the
+    per-point meet of the candidates' classes.  A finest candidate refines
+    that meet and the meet refines every candidate, so one exists exactly
+    when the meet is itself a candidate.
     """
     n = sys.n
     if n > PARTITION_SEARCH_BOUND:
@@ -181,23 +193,33 @@ def finest_abs_stable_partition(sys: FiniteSystem,
             f"{n} points exceeds partition search bound {PARTITION_SEARCH_BOUND}")
     if stability is None:
         stability = stability_table(sys, stabilize(sys))
-
-    def class_ok(mask: int) -> bool:
-        plain, verdicts = stability[mask]
-        return plain and all(verdicts)
+    ok = {m for m, (plain, verdicts) in stability.items() if plain and all(verdicts)}
+    by_least: list[list[int]] = [[] for _ in range(n)]
+    for m in ok:
+        by_least[(m & -m).bit_length() - 1].append(m)
 
     found = False
     meet = [sys.space.full_mask] * n
-    for rgs in _iter_partitions(n):
-        masks: dict[int, int] = {}
-        for i, c in enumerate(rgs):
-            masks[c] = masks.get(c, 0) | 1 << i
-        if all(class_ok(m) for m in masks.values()):
+    chosen: list[int] = []
+
+    def rec(rest: int) -> None:
+        nonlocal found
+        if not rest:
             found = True
-            meet = [m & masks[c] for m, c in zip(meet, rgs)]
+            for m in chosen:
+                for i in _iter_bits(m):
+                    meet[i] &= m
+            return
+        for m in by_least[(rest & -rest).bit_length() - 1]:
+            if m & ~rest == 0:
+                chosen.append(m)
+                rec(rest & ~m)
+                chosen.pop()
+
+    rec(sys.space.full_mask)
     if not found:
         raise InternalError("no partition into absolutely stable classes exists")
-    if not all(class_ok(m) for m in set(meet)):
+    if not set(meet) <= ok:
         raise InternalError(
             "absolutely stable partitions have no finest element"
         )

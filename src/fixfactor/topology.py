@@ -12,10 +12,13 @@ integers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import ContinuityError, UnknownNameError
+from .errors import ContinuityError, SizeLimitError, UnknownNameError
+
+REFERENCE_BOUND = 12
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -23,6 +26,22 @@ def _iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def union_table(gens: Iterable[int]) -> tuple[int, ...]:
+    """A union homomorphism on every mask, indexed by the mask, from its
+    value on each point (generator i is the value on {i}).  Doubling: the
+    masks with bit i set are the earlier ones, each joined with gens[i].
+    Refused above ``REFERENCE_BOUND`` points, where 2^n entries are too many.
+    """
+    gens = tuple(gens)
+    if len(gens) > REFERENCE_BOUND:
+        raise SizeLimitError(
+            f"{len(gens)} points exceeds table bound {REFERENCE_BOUND}")
+    table = [0]
+    for g in gens:
+        table += [m | g for m in table]
+    return tuple(table)
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -74,6 +93,16 @@ class FiniteSpace:
         for i in _iter_bits(mask):
             out |= self.down[i]
         return out
+
+    @functools.cached_property
+    def closure_table(self) -> tuple[int, ...]:
+        """``closure_mask`` of every mask, indexed by the mask."""
+        return union_table(self.down)
+
+    @functools.cached_property
+    def open_table(self) -> tuple[int, ...]:
+        """Least open superset of every mask, indexed by the mask."""
+        return union_table(self.up)
 
     def interior_mask(self, mask: int) -> int:
         out = 0
@@ -155,6 +184,17 @@ class SelfMap:
             out |= nxt
             frontier = nxt
         return out
+
+    @functools.cached_property
+    def image_table(self) -> tuple[int, ...]:
+        """``image_mask`` of every mask, indexed by the mask."""
+        return union_table(1 << j for j in self.img)
+
+    @functools.cached_property
+    def orbit_table(self) -> tuple[int, ...]:
+        """``orbit_mask`` of every mask, indexed by the mask: the orbit of a
+        union is the union of the orbits."""
+        return union_table(self.orbit_mask(1 << i) for i in range(self.space.n))
 
 
 @dataclass(frozen=True)

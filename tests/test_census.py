@@ -194,13 +194,8 @@ def test_guards_fire_on_an_aorb_succ_without_saturation(monkeypatch):
 
 
 def test_guard_fires_on_an_invariant_core_without_the_orbit(monkeypatch):
-    def open_hull(sys_, mask):
-        out = 0
-        for i in range(sys_.n):
-            if mask >> i & 1:
-                out |= sys_.space.up[i]
-        return out
-
-    monkeypatch.setattr(census, "invariant_core_mask", open_hull)
+    # the core table without the orbit is the least open superset
+    monkeypatch.setattr(census, "invariant_core_table",
+                        lambda sys_: sys_.space.open_table)
     report = run_census(3, checks=census.ALL_CHECK_NAMES)
     assert failed_checks(report) == {"invariant-core-reference"}

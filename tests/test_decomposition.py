@@ -36,8 +36,8 @@ from fixfactor.systems import (
     niedex_like,
     sierpinski,
 )
-from fixfactor.stability import _iter_partitions
 from fixfactor.topology import PointSet, is_discrete
+from set_partitions import iter_partitions
 
 
 def members(ps):
@@ -202,7 +202,7 @@ def test_min_saturated_open_discrete_gives_class():
 
 def assert_aorb_succ_matches_reference_at_every_partition(sys_):
     points = range(sys_.n)
-    for rgs in _iter_partitions(sys_.n):
+    for rgs in iter_partitions(sys_.n):
         p = Partition.from_class_of(sys_.space, list(rgs))
         assert tuple(aorb_succ_mask(sys_, p, i) for i in points) == \
             reference_intersection(sys_, "succ", p), rgs

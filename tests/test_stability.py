@@ -4,7 +4,6 @@ from fixfactor.census import enumerate_systems, random_systems
 from fixfactor.decomposition import REFERENCE_BOUND, Partition, oracle_partition, stabilize
 from fixfactor.errors import CoverError, InternalError, OrdinalError, SizeLimitError
 from fixfactor.stability import (
-    _iter_partitions,
     finest_abs_stable_partition,
     invariant_core,
     invariant_core_reference,
@@ -22,6 +21,7 @@ from fixfactor.systems import (
     sierpinski,
 )
 from fixfactor.topology import PointSet, build_system
+from set_partitions import iter_partitions
 
 
 def members(ps):
@@ -167,7 +167,7 @@ def reference_finest_abs_stable_partition(sys_, stability=None):
         return plain and all(verdicts)
 
     candidates = [Partition.from_class_of(sys_.space, list(rgs))
-                  for rgs in _iter_partitions(sys_.n)]
+                  for rgs in iter_partitions(sys_.n)]
     candidates = [p for p in candidates if all(class_ok(m) for m in p.classes)]
     if not candidates:
         raise InternalError("no partition into absolutely stable classes exists")
@@ -211,7 +211,7 @@ def reference_finer_plain_witness(sys_, oracle=None):
     """
     if oracle is None:
         oracle = oracle_partition(sys_)
-    for rgs in _iter_partitions(sys_.n):
+    for rgs in iter_partitions(sys_.n):
         cand = Partition.from_class_of(sys_.space, list(rgs))
         if not cand.refines(oracle) or cand.same_blocks(oracle):
             continue
