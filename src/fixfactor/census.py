@@ -29,7 +29,7 @@ from .decomposition import (
     DegreeTrace,
     Partition,
     QuotientResult,
-    aorb0_mask,
+    aorb0_masks,
     aorb_succ_mask,
     oracle_partition,
     prolongation_D1,
@@ -313,8 +313,8 @@ class Analysis:
 
     @functools.cached_property
     def aorb0(self) -> tuple[int, ...]:
-        """``aorb0_mask`` of each point."""
-        return tuple(aorb0_mask(self.sys, i) for i in range(self.sys.n))
+        """``aorb0_masks`` of the system."""
+        return aorb0_masks(self.sys)
 
     @functools.cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
@@ -401,13 +401,19 @@ def check_class_invariance(a: Analysis) -> str | None:
 
 
 def check_saturation_equivalences(a: Analysis) -> str | None:
+    """The three saturation verdicts agree, and the saturation is the union
+    of the classes that meet S, found by a plain scan of the classes."""
     p = a.trace.stationary_partition
     for s in range(1, a.sys.space.full_mask + 1):
         sat = p.saturate_mask(s)
-        sub = sat & ~s == 0             # classes(S) subset of S
-        eq = sat == s                   # classes(S) == S
-        union = p.is_saturated_mask(s)  # S is a union of classes
-        if not (sub == eq == union):
+        met = 0
+        for m in p.classes:
+            if m & s:
+                met |= m
+        sub = sat & ~s == 0  # classes(S) subset of S
+        eq = sat == s        # classes(S) == S
+        union = met == s     # S is a union of classes
+        if sat != met or not (sub == eq == union):
             return f"saturation equivalences fail on {a.sys.space.names(s)}"
     return None
 

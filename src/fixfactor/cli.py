@@ -85,27 +85,35 @@ def system_to_json(sys_: FiniteSystem) -> dict:
 
 
 def system_hash(sys_: FiniteSystem) -> str:
-    payload = json.dumps(system_to_json(sys_), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return payload_hash(system_to_json(sys_))
+
+
+def payload_hash(payload: dict) -> str:
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def decomposition_report(sys_: FiniteSystem) -> dict:
     trace = stabilize(sys_)
     oracle = oracle_partition(sys_)
+    payload = system_to_json(sys_)
+    listed: dict[tuple[int, ...], list[list[str]]] = {}
+
+    def class_lists(p) -> list[list[str]]:
+        """The sorted class lists of a partition, made once per distinct one."""
+        if p.classes not in listed:
+            listed[p.classes] = [sorted(c.members()) for c in p.class_sets()]
+        return listed[p.classes]
+
     return {
-        "system": system_to_json(sys_),
-        "system_hash": system_hash(sys_),
+        "system": payload,
+        "system_hash": payload_hash(payload),
         "trace": [
-            {
-                "degree": str(d),
-                "classes": [sorted(c.members()) for c in p.class_sets()],
-            }
+            {"degree": str(d), "classes": class_lists(p)}
             for d, p in trace.entries
         ],
         "stabilization_degree": str(trace.stabilization_degree),
-        "stationary_classes": [
-            sorted(c.members()) for c in trace.stationary_partition.class_sets()
-        ],
+        "stationary_classes": class_lists(trace.stationary_partition),
         "dim_fix": oracle.num_classes,
         "ergodic": trace.stationary_partition.num_classes == 1,
         "oracle_matches": trace.stationary_partition.same_blocks(oracle),

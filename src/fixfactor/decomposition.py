@@ -119,9 +119,11 @@ def generated_partition(space: FiniteSpace, cover: list[int]) -> Partition:
 
     Every member contains its own point, so merging the owners of each
     point gives the same classes as merging each member's points with one
-    another.  A union-find over the set bits of the distinct members does
-    that in O(sum of member sizes) unions, where a scan of every member
-    for every point would take n^2.
+    another.  A union-find does that without an n^2 scan: each root keeps
+    the mask of its class, and member K_x skips the points already in the
+    class of x and merges one whole class per hop, the way
+    ``Partition.saturate_mask`` hops.  So there are at most n - 1 hops in
+    all, and a member inside the class of its point costs one test.
     """
     n = space.n
     if len(cover) != n:
@@ -130,6 +132,7 @@ def generated_partition(space: FiniteSpace, cover: list[int]) -> Partition:
         if not m >> i & 1:
             raise CoverError(f"point {space.points[i]!r} not in its own cover member")
     parent = list(range(n))
+    members: dict[int, int] = {}  # the class of each root r, unless it is {r}
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -137,33 +140,95 @@ def generated_partition(space: FiniteSpace, cover: list[int]) -> Partition:
             a = parent[a]
         return a
 
-    for m in set(cover):
-        root = find((m & -m).bit_length() - 1)
-        for j in _iter_bits(m & (m - 1)):
-            parent[find(j)] = root
-    return Partition.from_class_of(space, [find(i) for i in range(n)])
+    for i, m in enumerate(cover):
+        root = find(i)
+        merged = members.get(root, 1 << root)
+        rest = m & ~merged
+        if not rest:
+            continue
+        while rest:
+            # any point of rest will do, and the top one is found in O(1)
+            r = find(rest.bit_length() - 1)
+            parent[r] = root
+            cls = members.pop(r, 1 << r)
+            merged |= cls
+            rest &= ~cls
+        members[root] = merged
+    # a class is first met at its least member, so ids follow least members
+    ids: dict[int, int] = {}
+    class_of = []
+    classes = []
+    for i in range(n):
+        r = find(i)
+        c = ids.get(r)
+        if c is None:
+            c = ids[r] = len(classes)
+            classes.append(members.get(r, 1 << r))
+        class_of.append(c)
+    return Partition(space, tuple(class_of), tuple(classes))
 
 
 def comparability_partition(space: FiniteSpace) -> Partition:
     return Partition.from_masks(space, comparability_components(space))
 
 
-def aorb0_mask(sys: FiniteSystem, i: int) -> int:
-    """Smallest closed invariant neighborhood of point index i.
+def aorb0_masks(sys: FiniteSystem) -> tuple[int, ...]:
+    """Smallest closed invariant neighborhood of every point, one mask per
+    point index.
 
-    Equals cl(orbit(U_i)): every closed invariant neighborhood contains the
+    That is cl(orbit(U_i)): every closed invariant neighborhood contains the
     minimal open U_i, hence its forward orbit, hence the closure; and the
     closure of the orbit is itself closed, invariant and a neighborhood.
+    Closure and orbit both map a union to a union, so it is the union over
+    y in U_i of F[y] = cl(orbit({y})), and F[y] = down[y] | F[map(y)], which
+    is one mask on a whole cycle.  One walk along the map fills F, settling
+    each point once and each cycle as a whole.
     """
-    return sys.space.closure_mask(sys.map.orbit_mask(sys.space.up[i]))
+    space, img, down = sys.space, sys.map.img, sys.space.down
+    n = space.n
+    f = [0] * n  # 0 until settled: every F[y] holds y
+    pos = [-1] * n  # place on the walk; an unsettled point is on this walk
+    for start in range(n):
+        if f[start]:
+            continue
+        path = []
+        y = start
+        while not f[y] and pos[y] < 0:
+            pos[y] = len(path)
+            path.append(y)
+            y = img[y]
+        if f[y]:
+            acc = f[y]
+        else:  # the walk closed a cycle at y
+            cycle = path[pos[y]:]
+            del path[pos[y]:]
+            acc = 0
+            for c in cycle:
+                acc |= down[c]
+            for c in cycle:
+                f[c] = acc
+        for c in reversed(path):
+            acc |= down[c]
+            f[c] = acc
+    # U_y lies in U_x for every y in U_x, so F[y] may already have been
+    # replaced by its union: the union at x is the same
+    for x, u in enumerate(space.up):
+        acc = f[x]
+        u ^= 1 << x
+        while u:
+            y = u.bit_length() - 1
+            acc |= f[y]
+            u ^= 1 << y
+        f[x] = acc
+    return tuple(f)
 
 
 def aorb0(sys: FiniteSystem, x: str) -> PointSet:
-    return PointSet(sys.space, aorb0_mask(sys, sys.space.idx(x)))
+    return PointSet(sys.space, aorb0_masks(sys)[sys.space.idx(x)])
 
 
 def sorb0_partition(sys: FiniteSystem) -> Partition:
-    return generated_partition(sys.space, [aorb0_mask(sys, i) for i in range(sys.n)])
+    return generated_partition(sys.space, list(aorb0_masks(sys)))
 
 
 def min_saturated_open_mask(space: FiniteSpace, p: Partition, seed: int) -> int:

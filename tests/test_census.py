@@ -177,8 +177,8 @@ def failed_checks(report):
 
 
 def test_guards_fire_on_an_aorb0_without_closure(monkeypatch):
-    monkeypatch.setattr(census, "aorb0_mask",
-                        lambda sys_, i: sys_.map.orbit_mask(sys_.space.up[i]))
+    monkeypatch.setattr(census, "aorb0_masks",
+                        lambda sys_: tuple(sys_.map.orbit_mask(u) for u in sys_.space.up))
     report = run_census(3, checks=census.ALL_CHECK_NAMES)
     assert failed_checks(report) == {"definition-direct", "prolongation-identities"}
 
@@ -199,3 +199,22 @@ def test_guard_fires_on_an_invariant_core_without_the_orbit(monkeypatch):
                         lambda sys_: sys_.space.open_table)
     report = run_census(3, checks=census.ALL_CHECK_NAMES)
     assert failed_checks(report) == {"invariant-core-reference"}
+
+
+def test_saturation_equivalences_fire_on_a_saturation_to_everything(monkeypatch):
+    # The mutant lives for the duration of the check only: saturating to the
+    # whole space everywhere would also merge the trace into one class, whose
+    # saturation is the whole space.  Its three verdicts still agree with one
+    # another, so only the scan of the classes that meet S can catch it.
+    real = census.check_saturation_equivalences
+
+    def with_full_saturation(a):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Partition, "saturate_mask", lambda self, mask: self.space.full_mask)
+            return real(a)
+
+    monkeypatch.setitem(census.ASSERTED_CHECKS, "saturation-equivalences",
+                        with_full_saturation)
+    report = run_census(3, checks=("saturation-equivalences",))
+    assert report.checks["saturation-equivalences"].failed > 0
+    assert census.census_failures(report) == ["saturation-equivalences"]

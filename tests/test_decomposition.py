@@ -9,7 +9,7 @@ from fixfactor.decomposition import (
     SUCC_REFERENCE_BOUND,
     Partition,
     aorb0,
-    aorb0_mask,
+    aorb0_masks,
     aorb_succ,
     aorb_succ_mask,
     degree_step,
@@ -36,7 +36,7 @@ from fixfactor.systems import (
     niedex_like,
     sierpinski,
 )
-from fixfactor.topology import PointSet, is_discrete
+from fixfactor.topology import PointSet, build_system, is_discrete
 from set_partitions import iter_partitions
 
 
@@ -296,8 +296,7 @@ def test_reference_intersection_succ_has_its_own_bound():
     p = sorb0_partition(sys_)
     with pytest.raises(SizeLimitError):
         reference_intersection(sys_, "succ", p)
-    assert reference_intersection(sys_, "base") == \
-        tuple(aorb0_mask(sys_, i) for i in range(sys_.n))
+    assert reference_intersection(sys_, "base") == aorb0_masks(sys_)
 
 
 def test_reference_intersection_rejects_bad_arguments():
@@ -402,14 +401,29 @@ def per_point_degree_step(sys_, p):
     )
 
 
+def per_point_aorb0(sys_):
+    """Reference: cl(orbit(U_x)) composed at each point, which is the first
+    prolongation D1."""
+    return tuple(prolongation_D1(sys_, x).mask for x in sys_.space.points)
+
+
+def assert_generated_matches_quadratic(space, cover):
+    want = quadratic_generated_partition(space, cover)
+    got = generated_partition(space, cover)
+    assert got == want
+    return got
+
+
 def assert_kernel_matches_references(sys_):
     space = sys_.space
     n = sys_.n
-    ref = quadratic_generated_partition(space, [aorb0_mask(sys_, i) for i in range(n)])
+    base_cover = per_point_aorb0(sys_)
+    assert aorb0_masks(sys_) == base_cover
+    ref = assert_generated_matches_quadratic(space, list(base_cover))
     assert sorb0_partition(sys_).same_blocks(ref)
     oracle_cover = [space.up[i] | space.down[i] | 1 << sys_.map.img[i] for i in range(n)]
     assert oracle_partition(sys_).same_blocks(
-        quadratic_generated_partition(space, oracle_cover)
+        assert_generated_matches_quadratic(space, oracle_cover)
     )
     ref_trace = [ref]
     while len(ref_trace) < 2 or not ref_trace[-1].same_blocks(ref_trace[-2]):
@@ -424,6 +438,8 @@ def assert_kernel_matches_references(sys_):
         masks = [rng.getrandbits(n) for _ in range(64)]
     for (_, part), want in zip(trace.entries, ref_trace):
         assert part.same_blocks(want)
+        class_cover = [part.classes[c] for c in part.class_of]
+        assert assert_generated_matches_quadratic(space, class_cover) == part
         assert degree_step(sys_, part).same_blocks(per_point_degree_step(sys_, part))
         for s in masks:
             assert part.saturate_mask(s) == saturate_mask_by_class_scan(part, s)
@@ -445,6 +461,49 @@ def test_kernel_matches_references_on_window_dump():
     sys_ = window(build_ladder("ramp"), 5, 6).to_finite_system()
     assert sys_.n == 883
     assert_kernel_matches_references(sys_)
+
+
+def layered_system(succ, seed, drop=False):
+    """Two copies t_i, b_i of a discrete space with b_i in the closure of
+    t_i, and the map i -> succ[i] on each copy, or with drop=True from the
+    top copy into the bottom one.  The points are listed in a seeded order,
+    so the walk along the map enters its paths and cycles anywhere."""
+    k = len(succ)
+    points = [f"{layer}{i}" for layer in "tb" for i in range(k)]
+    random.Random(seed).shuffle(points)
+    mapping = {f"b{i}": f"b{j}" for i, j in enumerate(succ)}
+    mapping.update({f"t{i}": f"{'b' if drop else 't'}{j}" for i, j in enumerate(succ)})
+    return build_system(points, [(f"b{i}", f"t{i}") for i in range(k)], mapping)
+
+
+TAIL_INTO_CYCLE = [i + 1 for i in range(79)] + [40]  # 40-point tail, 40-cycle
+DISJOINT_CYCLES = [start + (i + 1) % length
+                   for start, length in ((0, 1), (1, 2), (3, 3), (6, 5), (11, 8), (19, 13))
+                   for i in range(length)]
+FIXED_POINT_IN_TREES = [0] + [(i - 1) // 2 for i in range(1, 64)] + \
+    [0] + [i - 1 for i in range(65, 105)]  # a binary in-tree and a 40-chain
+
+
+@pytest.mark.parametrize("succ", [TAIL_INTO_CYCLE, DISJOINT_CYCLES,
+                                  FIXED_POINT_IN_TREES],
+                         ids=["tail-into-cycle", "disjoint-cycles", "in-trees"])
+@pytest.mark.parametrize("drop", [False, True])
+def test_aorb0_masks_match_per_point_on_long_paths_and_cycles(succ, drop):
+    for seed in range(3):
+        sys_ = layered_system(succ, seed, drop)
+        want = per_point_aorb0(sys_)
+        assert aorb0_masks(sys_) == want
+        assert sorb0_partition(sys_).same_blocks(
+            quadratic_generated_partition(sys_.space, list(want)))
+
+
+def test_aorb0_masks_settle_a_cycle_as_a_whole():
+    sys_ = layered_system(DISJOINT_CYCLES, 0)
+    space = sys_.space
+    eight = space.pointset([f"{layer}{i}" for layer in "tb" for i in range(11, 19)])
+    assert aorb0(sys_, "t11").mask == eight.mask
+    assert aorb0(sys_, "b11").mask == eight.mask
+    assert sorb0_partition(sys_).num_classes == 6
 
 
 # ---------- per-point enumerations, the references for the all-points ones

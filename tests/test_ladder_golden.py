@@ -2,8 +2,9 @@
 
 Each value is the sha256 of a file the CLI writes with ``--out`` (or
 ``--system-out``), so that any change to a symbolic trace, a base-degree
-orbit, a window's points and frontier, its audit or its exported system
-shows up, in the style of ``CENSUS_3_SHA256``.
+orbit, a window's points and frontier, its audit, its exported system or
+the decomposition of that system shows up, in the style of
+``CENSUS_3_SHA256``.
 """
 
 import hashlib
@@ -45,6 +46,12 @@ WINDOW_SHA256 = {
         "1f01e67f76d29602303bc5af8835e4d581db5ccfa6c9d5682d812549fdd22818"),
 }
 
+# `decompose` of the system that `window <term> --system-out` exports
+DECOMPOSE_SHA256 = {
+    ("ramp", 5, 6): "50f743852844900d1e30519f3ddb1b268d5f339eff7fdfd7f15e9c1b80ec782f",
+    ("cat(ramp)", 5, 6): "7b2af7c7050ff31bffa97a328648fa372b6d6189b059f2f09d263696dc89917e",
+}
+
 # `ladder <term>` (trace up to the default --max-degree)
 TRACE_SHA256 = {
     "strand": "1ee3535d49184295c9dd5e076751cd8170d3cdb9e97cb60edc8526b66b802c47",
@@ -82,6 +89,15 @@ def test_window_outputs_pinned(tmp_path, monkeypatch, term, m, j):
     assert code == 0
     assert (sha256(tmp_path / "window.json"), sha256(tmp_path / "system.json")) \
         == WINDOW_SHA256[term, m, j]
+
+
+@pytest.mark.parametrize("term,m,j", sorted(DECOMPOSE_SHA256))
+def test_decompose_of_window_dump_pinned(tmp_path, term, m, j):
+    dump, out = tmp_path / "system.json", tmp_path / "decompose.json"
+    assert main(["window", term, "--family-cut", str(m), "--strand-cut", str(j),
+                 "--system-out", str(dump), "--out", str(tmp_path / "window.json")]) == 0
+    assert main(["decompose", str(dump), "--out", str(out)]) == 0
+    assert sha256(out) == DECOMPOSE_SHA256[term, m, j]
 
 
 @pytest.mark.parametrize("term", sorted(TRACE_SHA256))
