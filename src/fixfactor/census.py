@@ -54,6 +54,7 @@ from .topology import (
     _iter_bits,
     is_discrete,
     space_from_up_masks,
+    system_payload,
 )
 
 LABELED_LIMIT = 5
@@ -244,14 +245,6 @@ def random_systems(n: int, count: int, seed: int = SUBSET_SEED) -> list[FiniteSy
                 break
         out.append(FiniteSystem(space, rng.choice(maps)))
     return out
-
-
-def system_payload(sys: FiniteSystem) -> dict:
-    return {
-        "points": list(sys.space.points),
-        "specializes": [[x, y] for x, y in sys.space.specialization_pairs()],
-        "map": {p: sys.map(p) for p in sys.space.points},
-    }
 
 
 # Counterexamples per check: a report emits the first REPORTED ones,

@@ -19,25 +19,15 @@ import json
 import sys
 from pathlib import Path
 
-from . import census as census_mod
 from .decomposition import (
     oracle_partition,
     quotient,
     stabilize,
 )
-from .errors import FixfactorError
-from .ladder import (
-    build_ladder,
-    ladder_aorb0,
-    ladder_trace,
-    parse_term,
-    window,
-    window_check,
-)
+from .errors import FixfactorError, FormatError
 from .ordinals import parse_ordinal
 from .stability import stability_report
-from .topology import FiniteSystem, build_system
-from .errors import FormatError
+from .topology import FiniteSystem, build_system, system_payload
 
 SYSTEM_FIELDS = {"points", "specializes", "map"}
 
@@ -80,12 +70,8 @@ def system_from_json(raw: dict, where: str = "<input>") -> FiniteSystem:
     return build_system(points, [tuple(p) for p in pairs], mapping)
 
 
-def system_to_json(sys_: FiniteSystem) -> dict:
-    return census_mod.system_payload(sys_)
-
-
 def system_hash(sys_: FiniteSystem) -> str:
-    return payload_hash(system_to_json(sys_))
+    return payload_hash(system_payload(sys_))
 
 
 def payload_hash(payload: dict) -> str:
@@ -96,7 +82,7 @@ def payload_hash(payload: dict) -> str:
 def decomposition_report(sys_: FiniteSystem) -> dict:
     trace = stabilize(sys_)
     oracle = oracle_partition(sys_)
-    payload = system_to_json(sys_)
+    payload = system_payload(sys_)
     listed: dict[tuple[int, ...], list[list[str]]] = {}
 
     def class_lists(p) -> list[list[str]]:
@@ -222,7 +208,7 @@ def cmd_quotient(args) -> int:
     trace = stabilize(sys_)
     q = quotient(sys_, trace.stationary_partition)
     _emit({
-        "quotient": system_to_json(q.quotient),
+        "quotient": system_payload(q.quotient),
         "projection": q.projection,
     }, args)
     return 0
@@ -255,6 +241,8 @@ def cmd_ergodic(args) -> int:
 
 
 def cmd_ladder(args) -> int:
+    from .ladder import build_ladder, ladder_aorb0, ladder_trace, parse_term
+
     space = build_ladder(parse_term(args.term))
     if args.aorb0:
         result = ladder_aorb0(space, args.aorb0)
@@ -270,13 +258,15 @@ def cmd_ladder(args) -> int:
 
 
 def cmd_window(args) -> int:
+    from .ladder import build_ladder, ladder_trace, parse_term, window, window_check
+
     space = build_ladder(parse_term(args.term))
     win = window(space, args.family_cut, args.strand_cut)
     payload = win.to_json()
     if args.system_out:
         fs = win.to_finite_system()
         Path(args.system_out).write_text(
-            json.dumps(system_to_json(fs), indent=2, sort_keys=True) + "\n",
+            json.dumps(system_payload(fs), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
         payload["system_written_to"] = args.system_out
@@ -291,6 +281,8 @@ def cmd_window(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from . import census as census_mod
+
     if args.check == "all":
         checks = census_mod.ALL_CHECK_NAMES
     else:

@@ -8,8 +8,9 @@ identified with the next copy's base, plus one new top point), and
 strand, so block difficulty grows without bound).
 
 Degrees of the orbit hierarchy genuinely exceed zero here, including
-transfinite values; traces are computed symbolically and audited against
-finite window truncations.
+transfinite values.  Base orbits have a closed form (a strand enters one
+as a forward tail or whole, plus limit points), traces are computed
+symbolically, and both are audited against finite window truncations.
 """
 
 from .terms import LadderTerm, parse_term, term_stab, term_interior_merge

@@ -1,21 +1,20 @@
 """Symbolic subsets of a ladder space and the base-degree orbit computation.
 
-A :class:`SymbolicSet` is a normalized union of two kinds of component:
-single limit points, and per-strand index profiles (finite sets,
-one-sided tails, or the full orbit).  Every component has decidable
-membership for concrete addresses, and the closure and invariance
-operators act componentwise through a finite rule table: a forward tail
-adds its attracting endpoint under closure; a backward tail adds its
-repelling endpoint under closure and blows up to the full strand under
-invariance; a finite profile grows into a forward tail under invariance.
+A :class:`SymbolicSet` is a union of two kinds of component: single
+limit points, and per-strand index profiles.  A base orbit only ever
+holds two profiles, a forward tail {j : j >= start} or the whole strand,
+so membership is decidable for every concrete address.
 
 ``ladder_aorb0`` computes the smallest closed invariant neighborhood of a
-point exactly.  The neighborhood filter of a limit point consists of
-tails with arbitrary cutoffs, so its intersection over all cutoffs keeps
-only what every cutoff forces: each forward-tail source forces its limit
-point, each backward-tail source forces the full strand (repulsion), and
-each family-tail source forces the node top.  Those one-shot seeds are
-then closed under the invariance and closure rules.
+point in closed form.  An orbit point is isolated, so its base orbit is
+its forward tail plus the tail's limit, the strand's attracting end ``A``.
+A limit point is fixed, and its neighborhood filter consists of tails
+with arbitrary cutoffs, so the intersection over all cutoffs keeps only
+what every cutoff forces: each forward-tail source forces that strand's
+``A``; each backward-tail source forces the whole strand (its orbit) and
+both of the strand's limits (its closure); each family-tail source forces
+the node's top.  The union of these is already closed and invariant:
+limit points are fixed, and every strand it holds carries its limits.
 """
 
 from __future__ import annotations
@@ -29,80 +28,21 @@ from .space import Addr, LadderSpace, TOP
 
 @dataclass(frozen=True)
 class StrandProfile:
-    """Subset of one strand's orbit indices."""
+    """Orbit indices of one strand in a base orbit: the forward tail
+    {j : j >= start}, or the whole strand when ``start`` is None."""
 
-    fin: tuple[int, ...] = ()
-    fwd: int | None = None  # {j : j >= fwd}
-    bwd: int | None = None  # {j : j <= bwd}
-    full: bool = False
-
-    def normalized(self) -> "StrandProfile":
-        if self.full or (self.fwd is not None and self.bwd is not None
-                         and self.fwd <= self.bwd + 1):
-            return StrandProfile(full=True)
-        fin = set(self.fin)
-        if self.fwd is not None:
-            fin = {j for j in fin if j < self.fwd}
-        if self.bwd is not None:
-            fin = {j for j in fin if j > self.bwd}
-        fwd = self.fwd
-        while fwd is not None and fwd - 1 in fin:
-            fin.discard(fwd - 1)
-            fwd -= 1
-        bwd = self.bwd
-        while bwd is not None and bwd + 1 in fin:
-            fin.discard(bwd + 1)
-            bwd += 1
-        if fwd is not None and bwd is not None and fwd <= bwd + 1:
-            return StrandProfile(full=True)
-        return StrandProfile(tuple(sorted(fin)), fwd, bwd, False)
+    start: int | None = None
 
     def contains(self, j: int) -> bool:
-        if self.full:
-            return True
-        if self.fwd is not None and j >= self.fwd:
-            return True
-        if self.bwd is not None and j <= self.bwd:
-            return True
-        return j in self.fin
-
-    def union(self, other: "StrandProfile") -> "StrandProfile":
-        fwd = None
-        for v in (self.fwd, other.fwd):
-            if v is not None:
-                fwd = v if fwd is None else min(fwd, v)
-        bwd = None
-        for v in (self.bwd, other.bwd):
-            if v is not None:
-                bwd = v if bwd is None else max(bwd, v)
-        return StrandProfile(
-            tuple(sorted(set(self.fin) | set(other.fin))),
-            fwd, bwd, self.full or other.full,
-        ).normalized()
-
-    def is_empty(self) -> bool:
-        return not (self.full or self.fin or self.fwd is not None or self.bwd is not None)
+        return self.start is None or j >= self.start
 
     def label(self) -> str:
-        if self.full:
-            return "all"
-        parts = []
-        if self.bwd is not None:
-            parts.append(f"bwd-tail({self.bwd})")
-        if self.fwd is not None:
-            parts.append(f"fwd-tail({self.fwd})")
-        if self.fin:
-            parts.append("{" + ",".join(map(str, self.fin)) + "}")
-        return " u ".join(parts) if parts else "empty"
+        return "all" if self.start is None else f"fwd-tail({self.start})"
 
 
 @dataclass
 class SymbolicSet:
-    """Normalized union of limit points and strand profiles.
-
-    ``add_strand`` and ``invariance_step`` store only normalized profiles,
-    so every reader takes a stored profile as it is.
-    """
+    """Union of limit points and strand profiles."""
 
     space: LadderSpace
     pts: set[Addr] = field(default_factory=set)
@@ -111,80 +51,11 @@ class SymbolicSet:
     def copy(self) -> "SymbolicSet":
         return SymbolicSet(self.space, set(self.pts), dict(self.strands))
 
-    # -- construction ----------------------------------------------------
-
-    def add_point(self, addr: Addr):
-        if addr[-1][0] == "z":
-            self.add_strand(addr[:-1], StrandProfile(fin=(addr[-1][1],)))
-        else:
-            self.pts.add(addr)
-
-    def add_strand(self, path: tuple, profile: StrandProfile):
-        cur = self.strands.get(path, StrandProfile())
-        self.strands[path] = cur.union(profile)
-
-    # -- queries -----------------------------------------------------------
-
     def contains(self, addr: Addr) -> bool:
         if addr in self.pts:
             return True
-        if addr[-1][0] == "z":
-            prof = self.strands.get(addr[:-1])
-            if prof is not None and prof.contains(addr[-1][1]):
-                return True
-        return False
-
-    def key(self) -> tuple:
-        return (
-            tuple(sorted(self.pts)),
-            tuple(sorted((p, v) for p, v in self.strands.items()
-                         if not v.is_empty())),
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymbolicSet) and self.key() == other.key()
-
-    # -- operators ---------------------------------------------------------
-
-    def closure_step(self) -> bool:
-        """Add all limit points forced by current components; True if grew."""
-        space = self.space
-        new: list[Addr] = []
-        for path, prof in self.strands.items():
-            fwd_t, bwd_t = space.strand_targets(path)
-            if prof.full or prof.fwd is not None:
-                new.append(fwd_t)
-            if prof.full or prof.bwd is not None:
-                new.append(bwd_t)
-        grew = False
-        for a in new:
-            if not self.contains(a):
-                self.add_point(a)
-                grew = True
-        return grew
-
-    def invariance_step(self) -> bool:
-        """Close under the forward dynamics; True if grew."""
-        grew = False
-        for path, prof in list(self.strands.items()):
-            fwd = prof.fwd
-            bwd = prof.bwd
-            full = prof.full
-            if prof.fin:
-                lead = min(prof.fin)
-                fwd = lead if fwd is None else min(fwd, lead)
-            if bwd is not None:
-                full = True
-            nxt = StrandProfile((), fwd, None, full).normalized()
-            if nxt != prof:
-                self.strands[path] = nxt
-                grew = True
-        return grew
-
-    def close_invariant(self) -> "SymbolicSet":
-        while self.invariance_step() | self.closure_step():
-            pass
-        return self
+        prof = self.strands.get(addr[:-1]) if addr[-1][0] == "z" else None
+        return prof is not None and prof.contains(addr[-1][1])
 
     # -- rendering -----------------------------------------------------------
 
@@ -195,8 +66,6 @@ class SymbolicSet:
         for a in sorted(self.pts):
             comps.append((a, {"kind": "point", "at": space.render(a)}))
         for path, prof in sorted(self.strands.items()):
-            if prof.is_empty():
-                continue
             rep = space.render(path + (("z", 0),))
             region = rep.rsplit(":", 1)[0]
             comps.append((path, {"kind": "strand", "region": region,
@@ -236,21 +105,28 @@ def _top_sources_at(space: LadderSpace, path: tuple) -> list[tuple]:
 
 
 def ladder_aorb0_addr(space: LadderSpace, addr: Addr) -> SymbolicSet:
-    """Smallest closed invariant neighborhood of a concrete point."""
-    space.validate(addr)
+    """Smallest closed invariant neighborhood of a concrete point, which
+    the caller has validated."""
     out = SymbolicSet(space)
-    out.add_point(addr)
+    if addr[-1][0] == "z":
+        # an isolated orbit point: its forward tail and the tail's limit
+        path = addr[:-1]
+        out.strands[path] = StrandProfile(addr[-1][1])
+        out.pts.add(path + (("A",),))
+        return out
+    # a limit point is fixed; each source forces what every cutoff's
+    # invariant closure contains
+    out.pts.add(addr)
     for kind, path in point_sources(space, addr):
         if kind == "fwd":
-            # every cutoff's closure contains the forward limit, nothing else
-            out.add_point(path + (("A",),))
+            out.pts.add(path + (("A",),))
         elif kind == "bwd":
-            # invariance of any backward tail forces the whole strand
-            out.add_strand(path, StrandProfile(full=True))
+            # the orbit of any backward tail is the whole strand
+            out.strands[path] = StrandProfile()
+            out.pts.update(space.strand_targets(path))
         else:
-            # family tails force only the node's own top point
-            out.add_point(space.subtree_top(path))
-    return out.close_invariant()
+            out.pts.add(space.subtree_top(path))
+    return out
 
 
 @dataclass(frozen=True)
@@ -323,19 +199,14 @@ def _shift_key(s: SymbolicSet, loc: Addr, pos: int) -> tuple:
         return a[:pos] + ((a[pos][0], a[pos][1] - v),) + a[pos + 1:]
 
     def shift_profile(path: tuple, prof: StrandProfile) -> StrandProfile:
-        if path != loc[:pos] or loc[pos][0] != "z":
+        if path != loc[:pos] or loc[pos][0] != "z" or prof.start is None:
             return prof
-        return StrandProfile(
-            tuple(j - v for j in prof.fin),
-            None if prof.fwd is None else prof.fwd - v,
-            None if prof.bwd is None else prof.bwd - v,
-            prof.full,
-        )
+        return StrandProfile(prof.start - v)
 
     return (
         tuple(sorted(shift_addr(a) for a in s.pts)),
         tuple(sorted((shift_addr(p), shift_profile(p, v))
-                     for p, v in s.strands.items() if not v.is_empty())),
+                     for p, v in s.strands.items())),
     )
 
 

@@ -273,38 +273,33 @@ def check_orbit_set(win: Window, addr: Addr, claimed: SymbolicSet,
     """Necessary-condition audit of one base-degree orbit claim; returns
     the orbit recomputed on the window."""
     space = win.space
-    name = space.render(addr)
+
+    def violation(what: str) -> None:
+        # the point is named only when there is something to report
+        report.violations.append(f"aorb0({space.render(addr)}): {what}")
+
     decoded = _decode(claimed, win)
     report.checks_run += 1
     if addr not in decoded:
-        report.violations.append(f"aorb0({name}): does not contain its own point")
+        violation("does not contain its own point")
     # forward invariance with frontier slack
     for a in decoded:
         img = space.phi(a)
         if img in win.addr_set and img not in decoded and a not in win.frontier:
-            report.violations.append(
-                f"aorb0({name}): image of {space.render(a)} escapes the set"
-            )
+            violation(f"image of {space.render(a)} escapes the set")
     # closedness: window closure may only add frontier points
     extra = win.closure_w(decoded) - decoded
     for a in extra:
         if a not in win.frontier:
-            report.violations.append(
-                f"aorb0({name}): closure violation at {space.render(a)}"
-            )
+            violation(f"closure violation at {space.render(a)}")
     # neighborhood property
     for a in win.min_nbhd_w(addr):
         if a not in decoded and a not in win.frontier:
-            report.violations.append(
-                f"aorb0({name}): minimal neighborhood point {space.render(a)} missing"
-            )
+            violation(f"minimal neighborhood point {space.render(a)} missing")
     # pointwise agreement with the direct recomputation off the frontier
     recomputed = win.aorb0_w(addr)
     for a in (recomputed ^ decoded) & win.nonfrontier:
-        report.violations.append(
-            f"aorb0({name}): disagreement with window recomputation at "
-            f"{space.render(a)}"
-        )
+        violation(f"disagreement with window recomputation at {space.render(a)}")
     return recomputed
 
 
@@ -313,13 +308,11 @@ def check_trace(win: Window, trace: LadderTrace,
     """Audit every degree of the trace on the window: classes are invariant
     and never split an earlier merge off the frontier.  Returns the class
     key at degree 0, the trace's first entry, of every non-frontier point
-    and of every in-window image of one."""
+    and of every in-window image of one.  The key walk trusts the window's
+    addresses, which ``window_check`` validates."""
     space = win.space
     if not trace.entries or trace.entries[0][0] != ZERO:
         raise InternalError(f"the trace of {space.term} does not start at degree 0")
-    # validated once here, since the key walk trusts its addresses
-    for a in win.addrs:
-        space.validate(a)
     nonfrontier = [a for a in win.addrs if a not in win.frontier]
     # the image does not depend on the degree, and a fixed point cannot
     # leave its class
@@ -360,6 +353,10 @@ def window_check(space: LadderSpace, win: Window,
                  trace: LadderTrace) -> WindowCheckReport:
     report = WindowCheckReport(str(space.term), (win.family_cut, win.strand_cut),
                                0, [])
+    # validated once here, since the orbits and the key walk trust their
+    # addresses
+    for a in win.addrs:
+        space.validate(a)
     # One pass over the non-frontier points: each orbit is recomputed by
     # its audit and unioned at once into the overlap equivalence, which
     # keeps a root per point and an owner per covered point, not the orbit.

@@ -312,3 +312,12 @@ def build_system(points: Iterable[str], specializes_pairs: Iterable[tuple[str, s
                  assignments: dict[str, str]) -> FiniteSystem:
     space = build_space(points, specializes_pairs)
     return FiniteSystem(space, validate_map(space, assignments))
+
+
+def system_payload(sys: FiniteSystem) -> dict:
+    """The JSON form of a system, the inverse of ``build_system``."""
+    return {
+        "points": list(sys.space.points),
+        "specializes": [[x, y] for x, y in sys.space.specialization_pairs()],
+        "map": {p: sys.map(p) for p in sys.space.points},
+    }

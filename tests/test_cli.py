@@ -7,21 +7,17 @@ from pathlib import Path
 import pytest
 
 import fixfactor
-from fixfactor.cli import (
-    load_system,
-    main,
-    system_from_json,
-    system_to_json,
-)
+from fixfactor.cli import load_system, main, system_from_json
 from fixfactor.decomposition import Partition
 from fixfactor.errors import FormatError
 from fixfactor.systems import discrete_swap_plus_fixed
+from fixfactor.topology import system_payload
 
 
 @pytest.fixture
 def swap_file(tmp_path):
     path = tmp_path / "swap.json"
-    path.write_text(json.dumps(system_to_json(discrete_swap_plus_fixed())))
+    path.write_text(json.dumps(system_payload(discrete_swap_plus_fixed())))
     return str(path)
 
 
@@ -265,12 +261,12 @@ def test_internal_failure_reported_without_traceback(swap_file, capsys, monkeypa
 
 def test_system_json_round_trip():
     sys_ = discrete_swap_plus_fixed()
-    raw = system_to_json(sys_)
+    raw = system_payload(sys_)
     again = system_from_json(raw)
     assert again.space.points == sys_.space.points
     assert again.space.up == sys_.space.up
     assert again.map.img == sys_.map.img
-    assert system_to_json(again) == raw
+    assert system_payload(again) == raw
 
 
 def test_system_json_field_validation():

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from fixfactor.census import enumerate_systems, random_systems
+from fixfactor.cli import main
 from fixfactor.decomposition import (
     REFERENCE_BOUND,
     SUCC_REFERENCE_BOUND,
@@ -36,7 +39,7 @@ from fixfactor.systems import (
     niedex_like,
     sierpinski,
 )
-from fixfactor.topology import PointSet, build_system, is_discrete
+from fixfactor.topology import PointSet, build_system, is_discrete, system_payload
 from set_partitions import iter_partitions
 
 
@@ -504,6 +507,20 @@ def test_aorb0_masks_settle_a_cycle_as_a_whole():
     assert aorb0(sys_, "t11").mask == eight.mask
     assert aorb0(sys_, "b11").mask == eight.mask
     assert sorb0_partition(sys_).num_classes == 6
+
+
+# `decompose` of the 160-point layered system on TAIL_INTO_CYCLE: no
+# exported window dump has a cycle longer than one point
+TAIL_INTO_CYCLE_DECOMPOSE_SHA256 = \
+    "837db6deda86fbe29b5bcb08e77315ff321d0bf2b5bc9765ce8f035e03027ff6"
+
+
+def test_decompose_of_a_tail_into_a_long_cycle_pinned(tmp_path):
+    dump, out = tmp_path / "system.json", tmp_path / "decompose.json"
+    dump.write_text(json.dumps(system_payload(layered_system(TAIL_INTO_CYCLE, 0))))
+    assert main(["decompose", str(dump), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        TAIL_INTO_CYCLE_DECOMPOSE_SHA256
 
 
 # ---------- per-point enumerations, the references for the all-points ones

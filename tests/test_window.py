@@ -7,12 +7,13 @@ import pytest
 from fixfactor.decomposition import stabilize
 from fixfactor.errors import CoverError, InternalError, LocatorError, SizeLimitError
 from fixfactor.ladder import build_ladder, ladder_trace, window, window_check
-from fixfactor.ladder.sets import ladder_aorb0_addr
+from fixfactor.ladder.sets import SymbolicSet, ladder_aorb0_addr, point_sources
 from fixfactor.ladder.space import TOP, child_term, term_at
 from fixfactor.ladder.terms import ramp_block_term, term_interior_merge, term_stab
 from fixfactor.ladder.trace import LadderTrace, class_key
 from fixfactor.ladder.window import (
     WindowCheckReport,
+    _decode,
     check_orbit_set,
     check_trace,
     window_answers_stable,
@@ -87,14 +88,13 @@ def test_fault_injection_noninvariant_set_detected():
     w = window(sp, 3, 3)
     addr = (("copy", 1), ("z", 0))
     bad = ladder_aorb0_addr(sp, addr).copy()
-    prof = bad.strands[(("copy", 1),)]
-    # truncate the forward tail to a finite stub: no longer invariant
-    from fixfactor.ladder.sets import StrandProfile
-
-    bad.strands[(("copy", 1),)] = StrandProfile(fin=(0, 1))
+    # truncate the forward tail to the finite stub {z:0, z:1}: no longer
+    # invariant
+    del bad.strands[(("copy", 1),)]
+    bad.pts |= {(("copy", 1), ("z", 0)), (("copy", 1), ("z", 1))}
     rep = WindowCheckReport("cat(strand)", (3, 3), 0, [])
     check_orbit_set(w, addr, bad, rep)
-    assert rep.violations
+    assert "aorb0(S:2:0): image of S:2:1 escapes the set" in rep.violations
 
 
 def test_answers_stable_across_growing_windows():
@@ -293,16 +293,21 @@ def test_oversized_window_refused_before_enumeration(term, cuts):
 
 
 def test_window_check_validates_every_window_address():
-    # a frontier address is audited only by check_trace, whose key walk
-    # would give this non-point a class without complaint
     sp = build_ladder("ramp")
     w = window(sp, 3, 3)
+    # a frontier address is audited only by check_trace, whose key walk
+    # would give this non-point a class without complaint
     bad = (("copy", 0), ("A",))
-    w = dataclasses.replace(w, addrs=w.addrs + (bad,), frontier=w.frontier | {bad})
+    bad_w = dataclasses.replace(w, addrs=w.addrs + (bad,), frontier=w.frontier | {bad})
     with pytest.raises(LocatorError):
-        window_check(sp, w, ladder_trace(sp, W2))
+        window_check(sp, bad_w, ladder_trace(sp, W2))
     with pytest.raises(LocatorError):
         class_key(sp, W2, bad)
+    # off the frontier, this non-point would pass its orbit audit silently
+    bad = (("block", 0), ("copy", 0), ("z", 1), ("z", 2))
+    bad_w = dataclasses.replace(w, addrs=w.addrs + (bad,))
+    with pytest.raises(LocatorError):
+        window_check(sp, bad_w, ladder_trace(sp, W2))
 
 
 def reference_key(space, degree, addr) -> tuple:
@@ -386,11 +391,118 @@ def test_closure_w_matches_reference_loop(term, cuts):
         assert w.closure_w(seed) == reference_closure(w, seed)
 
 
-def test_stored_strand_profiles_are_normalized():
-    # readers of a SymbolicSet take its stored profiles as they are
-    for term in ("strand", "cat(strand)", "ramp", "cat(ramp)"):
-        sp = build_ladder(term)
-        for cuts in ((3, 3), (5, 6), (7, 7)):
-            for a in window(sp, *cuts).addrs:
-                for prof in ladder_aorb0_addr(sp, a).strands.values():
-                    assert prof == prof.normalized(), (term, cuts, a)
+class ReferenceProfile:
+    """A strand profile of the earlier rule table: a finite set, a forward
+    tail, a backward tail, or the full orbit, kept normalized."""
+
+    def __init__(self, fin=(), fwd=None, bwd=None, full=False):
+        if full or (fwd is not None and bwd is not None and fwd <= bwd + 1):
+            fin, fwd, bwd, full = (), None, None, True
+        fin = {j for j in fin if (fwd is None or j < fwd) and (bwd is None or j > bwd)}
+        while fwd is not None and fwd - 1 in fin:
+            fin.discard(fwd - 1)
+            fwd -= 1
+        while bwd is not None and bwd + 1 in fin:
+            fin.discard(bwd + 1)
+            bwd += 1
+        if fwd is not None and bwd is not None and fwd <= bwd + 1:
+            fin, fwd, bwd, full = (), None, None, True
+        self.fin, self.fwd, self.bwd, self.full = tuple(sorted(fin)), fwd, bwd, full
+
+    def _fields(self):
+        return self.fin, self.fwd, self.bwd, self.full
+
+    def __eq__(self, other):
+        return self._fields() == other._fields()
+
+    def contains(self, j: int) -> bool:
+        return (self.full or (self.fwd is not None and j >= self.fwd)
+                or (self.bwd is not None and j <= self.bwd) or j in self.fin)
+
+    def union(self, other: "ReferenceProfile") -> "ReferenceProfile":
+        fwds = [v for v in (self.fwd, other.fwd) if v is not None]
+        bwds = [v for v in (self.bwd, other.bwd) if v is not None]
+        return ReferenceProfile(set(self.fin) | set(other.fin),
+                                min(fwds) if fwds else None,
+                                max(bwds) if bwds else None,
+                                self.full or other.full)
+
+    def label(self) -> str:
+        if self.full:
+            return "all"
+        parts = []
+        if self.bwd is not None:
+            parts.append(f"bwd-tail({self.bwd})")
+        if self.fwd is not None:
+            parts.append(f"fwd-tail({self.fwd})")
+        if self.fin:
+            parts.append("{" + ",".join(map(str, self.fin)) + "}")
+        return " u ".join(parts) if parts else "empty"
+
+
+def reference_aorb0_addr(space, addr) -> SymbolicSet:
+    """The base orbit by the earlier rule-table fixpoint: seed the point and
+    what each convergence source forces, then alternate the invariance and
+    closure rules until nothing changes."""
+    out = SymbolicSet(space)
+
+    def add_strand(path, prof):
+        out.strands[path] = out.strands.get(path, ReferenceProfile()).union(prof)
+
+    def add_point(a):
+        if a[-1][0] == "z":
+            add_strand(a[:-1], ReferenceProfile(fin=(a[-1][1],)))
+        else:
+            out.pts.add(a)
+
+    def invariance_step() -> bool:
+        # a finite profile grows into a forward tail, a backward tail into
+        # the full orbit
+        grew = False
+        for path, prof in list(out.strands.items()):
+            lead = [j for j in (prof.fwd, *prof.fin) if j is not None]
+            nxt = ReferenceProfile((), min(lead, default=None), None,
+                                   prof.full or prof.bwd is not None)
+            if nxt != prof:
+                out.strands[path] = nxt
+                grew = True
+        return grew
+
+    def closure_step() -> bool:
+        # a forward tail adds its attracting end, a backward tail its
+        # repelling one
+        new = []
+        for path, prof in out.strands.items():
+            fwd_t, bwd_t = space.strand_targets(path)
+            if prof.full or prof.fwd is not None:
+                new.append(fwd_t)
+            if prof.full or prof.bwd is not None:
+                new.append(bwd_t)
+        grew = False
+        for a in new:
+            if not out.contains(a):
+                add_point(a)
+                grew = True
+        return grew
+
+    add_point(addr)
+    for kind, path in point_sources(space, addr):
+        if kind == "fwd":
+            add_point(path + (("A",),))
+        elif kind == "bwd":
+            add_strand(path, ReferenceProfile(full=True))
+        else:
+            add_point(space.subtree_top(path))
+    while invariance_step() | closure_step():
+        pass
+    return out
+
+
+@pytest.mark.parametrize("term,cuts", FAST_PATH_WINDOWS[:-1])
+def test_aorb0_closed_form_matches_rule_table_fixpoint(term, cuts):
+    sp = build_ladder(term)
+    w = window(sp, *cuts)
+    for a in w.addrs:
+        got, ref = ladder_aorb0_addr(sp, a), reference_aorb0_addr(sp, a)
+        assert got.to_json() == ref.to_json(), (term, cuts, a)
+        assert _decode(got, w) == _decode(ref, w), (term, cuts, a)
