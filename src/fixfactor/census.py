@@ -31,6 +31,7 @@ from .decomposition import (
     QuotientResult,
     aorb0_masks,
     aorb_succ_mask,
+    generated_partition,
     oracle_partition,
     prolongation_D1,
     prolongation_D2,
@@ -352,8 +353,14 @@ def check_quotient_discrete(a: Analysis) -> str | None:
 
 
 def check_stabilization_zero(a: Analysis) -> str | None:
+    """Degree 0, and the successor orbits at degree 0 regenerate the base
+    partition: ``stabilize`` returns degree 0 without a step when the base
+    classes are clopen and invariant, so the degree alone is not a check."""
     if a.trace.stabilization_degree.as_int() != 0:
         return f"stabilized at degree {a.trace.stabilization_degree}"
+    base = a.trace.entries[0][1]
+    if not generated_partition(a.sys.space, list(a.succ[-1])).same_blocks(base):
+        return "the successor orbits at degree 0 do not regenerate the base partition"
     return None
 
 

@@ -232,21 +232,27 @@ def build_space(points: Iterable[str], specializes_pairs: Iterable[tuple[str, st
 
 
 def space_from_up_masks(pts: tuple[str, ...], up: list[int], index: dict[str, int] | None = None) -> FiniteSpace:
-    """Finish construction from generator up-masks (transitive closure)."""
+    """Finish construction from reflexive generator up-masks (transitive
+    closure).
+
+    A point whose generator mask is only itself keeps it, so the closure
+    and the transpose walk only the other points' non-reflexive bits.
+    """
     n = len(pts)
+    wide = [i for i in range(n) if up[i] != 1 << i]
     changed = True
     while changed:
         changed = False
-        for i in range(n):
-            acc = up[i]
-            for j in _iter_bits(up[i]):
+        for i in wide:
+            acc = u = up[i]
+            for j in _iter_bits(u & ~(1 << i)):
                 acc |= up[j]
-            if acc != up[i]:
+            if acc != u:
                 up[i] = acc
                 changed = True
-    down = [0] * n
-    for i in range(n):
-        for j in _iter_bits(up[i]):
+    down = [1 << i for i in range(n)]
+    for i in wide:
+        for j in _iter_bits(up[i] & ~(1 << i)):
             down[j] |= 1 << i
     if index is None:
         index = {p: i for i, p in enumerate(pts)}
@@ -274,9 +280,14 @@ def validate_map(space: FiniteSpace, assignments: dict[str, str]) -> SelfMap:
     if extra:
         raise UnknownNameError(f"assignment names unknown points {extra}")
     img = tuple(space.idx(assignments[p]) for p in space.points)
-    for i in range(space.n):
-        for j in _iter_bits(space.up[i]):
-            if not space.up[img[i]] >> img[j] & 1:
+    # the reflexive pair is always monotone, since up[k] holds k
+    for i, u in enumerate(space.up):
+        rest = u & ~(1 << i)
+        if not rest:
+            continue
+        target = space.up[img[i]]
+        for j in _iter_bits(rest):
+            if not target >> img[j] & 1:
                 raise ContinuityError(space.points[i], space.points[j])
     return SelfMap(space, img)
 
@@ -316,8 +327,9 @@ def build_system(points: Iterable[str], specializes_pairs: Iterable[tuple[str, s
 
 def system_payload(sys: FiniteSystem) -> dict:
     """The JSON form of a system, the inverse of ``build_system``."""
+    points = sys.space.points
     return {
-        "points": list(sys.space.points),
+        "points": list(points),
         "specializes": [[x, y] for x, y in sys.space.specialization_pairs()],
-        "map": {p: sys.map(p) for p in sys.space.points},
+        "map": {p: points[j] for p, j in zip(points, sys.map.img)},
     }

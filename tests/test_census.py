@@ -190,7 +190,8 @@ def test_guards_fire_on_an_aorb_succ_without_saturation(monkeypatch):
     monkeypatch.setattr(census, "aorb_succ_mask",
                         lambda sys_, p, i: sys_.space.closure_mask(sys_.space.up[i]))
     report = run_census(3, checks=census.ALL_CHECK_NAMES)
-    assert failed_checks(report) == {"definition-direct", "quotient-neighborhood"}
+    assert failed_checks(report) == {"definition-direct", "quotient-neighborhood",
+                                     "stabilization-degree-0"}
 
 
 def test_guard_fires_on_an_invariant_core_without_the_orbit(monkeypatch):

@@ -8,7 +8,6 @@ import pytest
 
 import fixfactor
 from fixfactor.cli import load_system, main, system_from_json
-from fixfactor.decomposition import Partition
 from fixfactor.errors import FormatError
 from fixfactor.systems import discrete_swap_plus_fixed
 from fixfactor.topology import system_payload
@@ -249,12 +248,7 @@ def test_lyapunov_rejects_empty_set(swap_file, capsys, members):
 def test_internal_failure_reported_without_traceback(swap_file, capsys, monkeypatch):
     import fixfactor.decomposition as dec
 
-    def never_stationary(sys_, p):
-        if p.num_classes == sys_.n:
-            return Partition.one_class(sys_.space)
-        return Partition.identity(sys_.space)
-
-    monkeypatch.setattr(dec, "degree_step", never_stationary)
+    monkeypatch.setattr(dec, "_degree_zero_certificate", lambda sys_, p: False)
     assert main(["decompose", swap_file]) == 2
     assert capsys.readouterr().err.startswith("error[E_INTERNAL]")
 

@@ -7,9 +7,11 @@ import pytest
 
 from fixfactor.census import enumerate_systems, random_systems
 from fixfactor.cli import main
+import fixfactor.decomposition as dec
 from fixfactor.decomposition import (
     REFERENCE_BOUND,
     SUCC_REFERENCE_BOUND,
+    DegreeTrace,
     Partition,
     aorb0,
     aorb0_masks,
@@ -32,6 +34,7 @@ from fixfactor.decomposition import (
 )
 from fixfactor.errors import CoverError, InternalError, InvarianceError, SizeLimitError
 from fixfactor.ladder import build_ladder, window
+from fixfactor.ordinals import OrdinalCNF
 from fixfactor.systems import (
     chain,
     discrete_cycle,
@@ -351,17 +354,46 @@ def test_stabilize_sierpinski_const():
 
 
 def test_stabilize_failure_is_internal_error(monkeypatch):
-    import fixfactor.decomposition as dec
-
-    def never_stationary(sys_, p):
-        if p.num_classes == sys_.n:
-            return Partition.one_class(sys_.space)
-        return Partition.identity(sys_.space)
-
-    monkeypatch.setattr(dec, "degree_step", never_stationary)
+    monkeypatch.setattr(dec, "_degree_zero_certificate", lambda sys_, p: False)
     with pytest.raises(InternalError) as info:
         stabilize(discrete_swap_plus_fixed())
     assert info.value.code == "E_INTERNAL"
+
+
+# ------------------------------------------------ the degree-0 certificate
+
+
+def general_loop_trace(sys_, p):
+    """Reference: degree steps from p until two successive partitions agree."""
+    entries = [(OrdinalCNF.from_int(0), p)]
+    while len(entries) < 2 or not entries[-1][1].same_blocks(entries[-2][1]):
+        q = degree_step(sys_, entries[-1][1])
+        entries.append((OrdinalCNF.from_int(len(entries)), q))
+    return DegreeTrace(tuple(entries), OrdinalCNF.from_int(len(entries) - 2))
+
+
+def test_certificate_accepts_every_base_partition_and_matches_the_loop():
+    for n in range(1, 4):
+        for sys_ in enumerate_systems(n):
+            p = sorb0_partition(sys_)
+            assert dec._degree_zero_certificate(sys_, p)
+            assert stabilize(sys_) == general_loop_trace(sys_, p)
+
+
+def test_certificate_rejects_a_class_that_is_not_open():
+    # Under the identity both singletons are invariant; {a} is not open
+    # (U_a = {a, b}) and {b} is not closed.  A partition into open classes
+    # is one into closed classes, so the open premise covers both.
+    sys_ = sierpinski("id")
+    assert not dec._degree_zero_certificate(sys_, Partition.identity(sys_.space))
+    assert dec._degree_zero_certificate(sys_, Partition.one_class(sys_.space))
+
+
+def test_certificate_rejects_a_class_that_is_not_invariant():
+    # every class of the discrete space is clopen, but a maps to b
+    sys_ = discrete_swap_plus_fixed()
+    assert not dec._degree_zero_certificate(sys_, Partition.identity(sys_.space))
+    assert dec._degree_zero_certificate(sys_, sorb0_partition(sys_))
 
 
 # ------------------------------- references for the collapsed kernel paths

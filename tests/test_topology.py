@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from fixfactor.topology import (
     interior,
     is_discrete,
     minimal_open,
+    space_from_up_masks,
     validate_map,
 )
 
@@ -121,6 +123,57 @@ def test_validate_map_swap_witness():
         validate_map(space, {"a": "b", "b": "a"})
     assert exc.value.witness == ("a", "b")
     assert exc.value.code == "E_CONTINUITY"
+
+
+def test_validate_map_rejects_a_single_non_reflexive_violation():
+    # a < b and a < c, the rest isolated; only the pair (a, c) breaks:
+    # a goes to a, c to the isolated d
+    space = build_space(["p", "a", "b", "c", "d"], [("a", "b"), ("a", "c")])
+    with pytest.raises(ContinuityError) as exc:
+        validate_map(space, {"p": "p", "a": "a", "b": "b", "c": "d", "d": "d"})
+    assert exc.value.witness == ("a", "c")
+
+
+def test_validate_map_rejects_an_unknown_image():
+    space = sierpinski().space
+    with pytest.raises(UnknownNameError, match="unknown point 'zz'"):
+        validate_map(space, {"a": "a", "b": "zz"})
+
+
+def warshall_up_masks(n, pairs):
+    """Reference: reflexive-transitive closure of the generator relation by
+    Warshall's algorithm on a boolean matrix."""
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in pairs:
+        reach[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    if reach[k][j]:
+                        reach[i][j] = True
+    return [sum(1 << j for j in range(n) if reach[i][j]) for i in range(n)]
+
+
+def test_space_from_up_masks_matches_warshall():
+    rng = random.Random(2024)
+    for n in [1, 2, 3, 5, 8, 13, 21, 40]:
+        for _ in range(12):
+            # a few isolated points, random pairs and one mutual cycle
+            live = rng.sample(range(n), max(1, n - rng.randrange(0, n // 3 + 1)))
+            pairs = [(rng.choice(live), rng.choice(live))
+                     for _ in range(rng.randrange(0, 2 * len(live)))]
+            cycle = rng.sample(live, min(len(live), rng.randrange(1, 5)))
+            pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+            up = [1 << i for i in range(n)]
+            for i, j in pairs:
+                up[i] |= 1 << j
+            names = tuple(f"p{i}" for i in range(n))
+            space = space_from_up_masks(names, up)
+            want = warshall_up_masks(n, pairs)
+            assert list(space.up) == want
+            assert list(space.down) == [
+                sum(1 << i for i in range(n) if want[i] >> j & 1) for j in range(n)]
 
 
 def test_sierpinski_has_exactly_three_continuous_maps():
