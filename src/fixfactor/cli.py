@@ -8,7 +8,9 @@ reflexively and transitively on load and unknown fields are rejected.
 
 Exit codes: 0 success, 1 a verification check failed (the report carries
 a counterexample), 2 usage or input-format errors.  All output is
-deterministic.
+deterministic: every JSON report, and every system file the CLI writes,
+is the bytes of ``json.dumps`` of it with an indent of 2 and sorted keys,
+followed by a newline; ``report_json`` writes them.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import argparse
 import hashlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .decomposition import (
+    Partition,
     oracle_partition,
     quotient,
     stabilize,
@@ -41,6 +45,8 @@ def load_system(path: str) -> FiniteSystem:
         raise FormatError(f"{path} is not UTF-8 text: byte {e.start}") from e
     except json.JSONDecodeError as e:
         raise FormatError(f"{path} is not valid JSON: line {e.lineno}") from e
+    except RecursionError as e:
+        raise FormatError(f"{path} is nested too deeply to read") from e
     return system_from_json(raw, where=path)
 
 
@@ -79,27 +85,37 @@ def payload_hash(payload: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def class_lists(p: Partition) -> list[list[str]]:
+    """The sorted member names of each class, in class order, from one
+    pass over the points."""
+    lists: list[list[str]] = [[] for _ in p.classes]
+    for name, c in zip(p.space.points, p.class_of):
+        lists[c].append(name)
+    for names in lists:
+        names.sort()
+    return lists
+
+
 def decomposition_report(sys_: FiniteSystem) -> dict:
     trace = stabilize(sys_)
     oracle = oracle_partition(sys_)
     payload = system_payload(sys_)
     listed: dict[tuple[int, ...], list[list[str]]] = {}
 
-    def class_lists(p) -> list[list[str]]:
-        """The sorted class lists of a partition, made once per distinct one."""
+    def listed_once(p: Partition) -> list[list[str]]:
         if p.classes not in listed:
-            listed[p.classes] = [sorted(c.members()) for c in p.class_sets()]
+            listed[p.classes] = class_lists(p)
         return listed[p.classes]
 
     return {
         "system": payload,
         "system_hash": payload_hash(payload),
         "trace": [
-            {"degree": str(d), "classes": class_lists(p)}
+            {"degree": str(d), "classes": listed_once(p)}
             for d, p in trace.entries
         ],
         "stabilization_degree": str(trace.stabilization_degree),
-        "stationary_classes": class_lists(trace.stationary_partition),
+        "stationary_classes": listed_once(trace.stationary_partition),
         "dim_fix": oracle.num_classes,
         "ergodic": trace.stationary_partition.num_classes == 1,
         "oracle_matches": trace.stationary_partition.same_blocks(oracle),
@@ -160,8 +176,39 @@ def _covering_pairs(sys_: FiniteSystem) -> list[tuple[str, str]]:
     return out
 
 
+def report_json(obj, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    ``indent`` keeps ``json.dumps`` off its C encoder, so this writer does
+    the layout itself.  A string goes through the C escaper that the
+    pure-Python encoder calls too, with no recursion, so a list or dict of
+    strings is one ``join``; any other scalar goes to ``json.dumps``.
+    ``newline`` is a line break followed by the indent of the enclosing
+    level.  A key that is not a ``str`` raises ``TypeError``, from the
+    escaper or from the sort.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        items = [_encode_str(x) if isinstance(x, str) else report_json(x, inner)
+                 for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [_encode_str(k) + ": "
+                 + (_encode_str(v) if isinstance(v, str) else report_json(v, inner))
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(obj)
+
+
 def _emit(data, args) -> None:
-    text = data if isinstance(data, str) else json.dumps(data, indent=2, sort_keys=True)
+    text = data if isinstance(data, str) else report_json(data)
     if getattr(args, "out", None):
         Path(args.out).write_text(text + ("" if text.endswith("\n") else "\n"),
                                   encoding="utf-8")
@@ -184,7 +231,7 @@ def cmd_trace(args) -> int:
     _emit({
         "system_hash": system_hash(sys_),
         "entries": [
-            {"degree": str(d), "classes": [sorted(c.members()) for c in p.class_sets()]}
+            {"degree": str(d), "classes": class_lists(p)}
             for d, p in trace.entries
         ],
         "stabilization_degree": str(trace.stabilization_degree),
@@ -197,7 +244,7 @@ def cmd_oracle(args) -> int:
     oracle = oracle_partition(sys_)
     _emit({
         "system_hash": system_hash(sys_),
-        "classes": [sorted(c.members()) for c in oracle.class_sets()],
+        "classes": class_lists(oracle),
         "dim_fix": oracle.num_classes,
     }, args)
     return 0
@@ -265,10 +312,8 @@ def cmd_window(args) -> int:
     payload = win.to_json()
     if args.system_out:
         fs = win.to_finite_system()
-        Path(args.system_out).write_text(
-            json.dumps(system_payload(fs), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        Path(args.system_out).write_text(report_json(system_payload(fs)) + "\n",
+                                         encoding="utf-8")
         payload["system_written_to"] = args.system_out
     code = 0
     if args.check:
@@ -297,10 +342,7 @@ def cmd_census(args) -> int:
         for name, outcome in report.checks.items():
             for i, ce in enumerate(outcome.counterexamples):
                 path = outdir / f"{name}-{i}.json"
-                path.write_text(
-                    json.dumps(ce["system"], indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8",
-                )
+                path.write_text(report_json(ce["system"]) + "\n", encoding="utf-8")
     failed = census_mod.census_failures(report)
     return 1 if failed else 0
 

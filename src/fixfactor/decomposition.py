@@ -449,11 +449,34 @@ def oracle_partition(sys: FiniteSystem) -> Partition:
     on the generated classes is continuous and invariant.  So the classes
     are the components of comparability plus map edges, and their number is
     the dimension of the fixed function space.
+
+    A union-find merges each point with its image and with the other
+    points of its minimal open set, which only a point wider than itself
+    has; the closures give the same pairs reversed.  The greater of two
+    roots goes under the lesser, so a parent is never above its point.
     """
     space = sys.space
-    n = space.n
-    cover = [space.up[i] | space.down[i] | (1 << sys.map.img[i]) for i in range(n)]
-    return generated_partition(space, cover)
+    img = sys.map.img
+    parent = list(range(space.n))
+    for i, u in enumerate(space.up):
+        a = i
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        ends = (img[i],) if u == 1 << i else (img[i], *_iter_bits(u ^ 1 << i))
+        for b in ends:
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+                a = b
+    # in index order a parent's own entry is already its root
+    for i, r in enumerate(parent):
+        parent[i] = parent[r]
+    return Partition.from_class_of(space, parent)
 
 
 def dim_fix(sys: FiniteSystem) -> int:

@@ -118,11 +118,16 @@ class FiniteSpace:
         return self.closure_mask(mask) == mask
 
     def specialization_pairs(self) -> list[tuple[str, str]]:
-        """All non-reflexive pairs (x, y) with specializes(x, y)."""
+        """All non-reflexive pairs (x, y) with specializes(x, y).
+
+        Only a point whose minimal open set is wider than itself has one."""
+        points = self.points
         out = []
-        for i in range(self.n):
-            for j in _iter_bits(self.up[i] & ~(1 << i)):
-                out.append((self.points[i], self.points[j]))
+        for i, u in enumerate(self.up):
+            if u != 1 << i:
+                x = points[i]
+                for j in _iter_bits(u ^ 1 << i):
+                    out.append((x, points[j]))
         return out
 
 

@@ -5,9 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fixfactor
-from fixfactor.cli import load_system, main, system_from_json
+from fixfactor.cli import load_system, main, report_json, system_from_json
 from fixfactor.errors import FormatError
 from fixfactor.systems import discrete_swap_plus_fixed
 from fixfactor.topology import system_payload
@@ -224,6 +225,49 @@ def test_undecodable_file_is_format_error(tmp_path):
     proc = run_module("decompose", str(path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error[E_FORMAT]")
+
+
+@pytest.mark.parametrize("command", ["decompose", "trace", "oracle"])
+def test_deeply_nested_file_is_format_error(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    proc = run_module(command, str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error[E_FORMAT]")
+    assert "Traceback" not in proc.stderr
+
+
+# every code point, lone surrogates and control characters included
+TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+           | st.sampled_from([-(2**200), 2**200 + 1]))
+REPORTS = st.recursive(
+    SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
+                  | st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORTS)
+@example([])
+@example({})
+@example({"b": [[], {}], "a": ("\ud800", "\x00\x1f\u00e9\U0001f600")})
+@example([-(10**30), True, False, None, [["x"]]])
+def test_report_json_matches_indented_json_dumps(value):
+    assert report_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    {1: "a"},
+    {"a": 1, 2: "b"},
+    {None: []},
+    [{"a": {True: 0}}],
+])
+def test_report_json_refuses_keys_that_are_not_strings(value):
+    with pytest.raises(TypeError):
+        report_json(value)
 
 
 def test_census_rejects_jobs_below_one(capsys):
