@@ -56,6 +56,7 @@ from .topology import (
     is_discrete,
     space_from_up_masks,
     system_payload,
+    union_table,
 )
 
 LABELED_LIMIT = 5
@@ -83,13 +84,15 @@ def _preorder_up_masks(n: int) -> Iterator[tuple[int, ...]]:
         for y in range(n - 1):
             for z in _iter_bits(base[y]):
                 dn[z] |= 1 << y
-        up_closed = [s for s in range(1 << (n - 1))
-                     if all(base[y] & ~s == 0 for y in _iter_bits(s))]
-        dn_closed = [s for s in range(1 << (n - 1))
-                     if all(dn[z] & ~s == 0 for z in _iter_bits(s))]
+        # a set is up-closed exactly when the union of its points' up-sets
+        # adds nothing to it, and down-closed likewise
+        up_closed = [s for s, o in enumerate(union_table(base)) if o == s]
+        dn_closed = [s for s, o in enumerate(union_table(dn)) if o == s]
+        # S_dn may hold only points below every point of S_up
+        not_below = union_table(~d & (bit - 1) for d in dn)
         for s_up in up_closed:
             for s_dn in dn_closed:
-                if any(s_up & ~base[y] for y in _iter_bits(s_dn)):
+                if s_dn & not_below[s_up]:
                     continue
                 up = list(base) + [s_up | bit]
                 for y in _iter_bits(s_dn):
@@ -101,29 +104,6 @@ def enumerate_preorders(n: int) -> Iterator[FiniteSpace]:
     names = tuple(_POINT_NAMES[:n])
     for up in _preorder_up_masks(n):
         yield space_from_up_masks(names, list(up))
-
-
-def count_preorders_bruteforce(n: int) -> int:
-    """Independent counter: filter all reflexive relations for transitivity."""
-    if n > 3:
-        raise SizeLimitError("brute-force counter is for n <= 3")
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    count = 0
-    for bits in range(1 << len(offdiag)):
-        up = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(offdiag):
-            if bits >> k & 1:
-                up[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            for j in _iter_bits(up[i]):
-                if up[j] & ~up[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        count += ok
-    return count
 
 
 def monotone_maps(space: FiniteSpace) -> Iterator[SelfMap]:

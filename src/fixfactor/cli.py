@@ -31,7 +31,7 @@ from .decomposition import (
 from .errors import FixfactorError, FormatError
 from .ordinals import parse_ordinal
 from .stability import stability_report
-from .topology import FiniteSystem, build_system, system_payload
+from .topology import FiniteSystem, _iter_bits, build_system, system_payload
 
 SYSTEM_FIELDS = {"points", "specializes", "map"}
 
@@ -135,44 +135,48 @@ def export_dot(sys_: FiniteSystem) -> str:
     for i, p in enumerate(space.points):
         cls = part.class_of[i]
         color = palette[cls % len(palette)]
-        lines.append(f'  "{p}" [label="{p}|{cls}", fillcolor={color}];')
+        label = _dot_str(f"{p}|{cls}")
+        lines.append(f"  {_dot_str(p)} [label={label}, fillcolor={color}];")
     for p in space.points:
-        lines.append(f'  "{p}" -> "{sys_.map(p)}";')
+        lines.append(f"  {_dot_str(p)} -> {_dot_str(sys_.map(p))};")
     for x, y in _covering_pairs(sys_):
-        lines.append(f'  "{x}" -> "{y}" [style=dashed, arrowhead=empty];')
+        lines.append(f"  {_dot_str(x)} -> {_dot_str(y)} [style=dashed, arrowhead=empty];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+def _dot_str(text: str) -> str:
+    """A DOT quoted string: backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _covering_pairs(sys_: FiniteSystem) -> list[tuple[str, str]]:
     """Transitive reduction of specialization: reduce the order on the
-    mutually-specializing groups, then add one cycle per nontrivial group."""
+    mutually-specializing groups, then add one cycle per nontrivial group.
+
+    Mutually specializing points have identical minimal open sets, and
+    each group is named by its least point, its head.  ``up & ~down`` is
+    what lies strictly above a point, and head b covers head a when b lies
+    strictly above a but not strictly above any point strictly above a.
+    """
     space = sys_.space
-    n = space.n
-    # mutually specializing points have identical minimal open sets
-    first_with: dict[int, int] = {}
-    rep = []
-    for i in range(n):
-        rep.append(first_with.setdefault(space.up[i], i))
-    heads = sorted(set(rep))
-    less = {
-        (a, b)
-        for a in heads
-        for b in heads
-        if a != b and space.up[a] >> b & 1
-    }
+    points = space.points
+    groups: dict[int, list[int]] = {}  # minimal open set -> its points, ascending
+    for i, u in enumerate(space.up):
+        groups.setdefault(u, []).append(i)
+    heads = sum(1 << members[0] for members in groups.values())
+    above = [u & ~d for u, d in zip(space.up, space.down)]
     out = []
-    for a, b in sorted(less):
-        if not any((a, k) in less and (k, b) in less for k in heads):
-            out.append((space.points[a], space.points[b]))
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(rep[i], []).append(i)
+    for members in groups.values():
+        a = members[0]
+        covers = above[a] & heads
+        for k in _iter_bits(covers):
+            covers &= ~above[k]
+        out += [(points[a], points[b]) for b in _iter_bits(covers)]
     for members in groups.values():
         if len(members) > 1:
-            ordered = sorted(members)
-            for a, b in zip(ordered, ordered[1:] + ordered[:1]):
-                out.append((space.points[a], space.points[b]))
+            for a, b in zip(members, members[1:] + members[:1]):
+                out.append((points[a], points[b]))
     return out
 
 

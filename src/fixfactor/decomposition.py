@@ -26,7 +26,6 @@ from .topology import (
     PointSet,
     SelfMap,
     _iter_bits,
-    comparability_components,
     space_from_up_masks,
     union_table,
 )
@@ -70,10 +69,6 @@ class Partition:
     @classmethod
     def identity(cls, space: FiniteSpace) -> "Partition":
         return cls.from_class_of(space, list(range(space.n)))
-
-    @classmethod
-    def one_class(cls, space: FiniteSpace) -> "Partition":
-        return cls.from_class_of(space, [0] * space.n)
 
     @property
     def num_classes(self) -> int:
@@ -169,7 +164,10 @@ def generated_partition(space: FiniteSpace, cover: list[int]) -> Partition:
 
 
 def comparability_partition(space: FiniteSpace) -> Partition:
-    return Partition.from_masks(space, comparability_components(space))
+    """Components of the comparability graph: the classes that the minimal
+    open sets generate, since each comparable pair lies in the minimal open
+    set of its lower point."""
+    return generated_partition(space, list(space.up))
 
 
 def aorb0_masks(sys: FiniteSystem) -> tuple[int, ...]:

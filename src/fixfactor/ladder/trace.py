@@ -137,8 +137,9 @@ class SymPartition:
         term = self.space.term
         if self.degree >= term_stab(term):
             return 1
-        inner = _interior_count(term, self.degree)
-        return None if inner is None else inner + 1
+        # the interior is one class from its merge degree on, and a cat or
+        # ramp node below it has infinitely many
+        return 2 if self.degree >= term_interior_merge(term) else None
 
     def descriptors(self) -> list[dict]:
         term = self.space.term
@@ -153,12 +154,6 @@ class SymPartition:
             "classes": self.descriptors(),
             "class_count": self.class_count(),
         }
-
-
-def _interior_count(term: LadderTerm, d: OrdinalCNF) -> int | None:
-    if d >= term_interior_merge(term):
-        return 1
-    return None  # a cat or ramp node below its merge degree has infinitely many
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,12 @@ audited for disjoint cover, forward invariance, monotone coarsening and
 agreement with the overlap-generated equivalence of the recomputed
 orbits.  One pass over the non-frontier points recomputes each orbit once,
 audits the claim against it and merges it into that equivalence at once;
-each point's image is computed once for all degrees.  The exported finite system uses a conservative encoding (limit
-edges only at frontier points, the map frozen there) so that it parses
-and validates; it is an audit artifact, not an input for the finite
-stabilization pipeline, which would collapse any truncation to degree 0.
+each point's image is computed once for all degrees.  The exported
+finite system puts each limit point into the closure of every point of
+its minimal-neighborhood stub, the same stubs the audit uses, and freezes
+the map at the frontier so that it parses and validates; it is an audit
+artifact, not an input for the finite stabilization pipeline, which would
+collapse any truncation to degree 0.
 """
 
 from __future__ import annotations
@@ -156,19 +158,10 @@ class Window:
 
         names = self.names()
         by_addr = dict(zip(self.addrs, names))
-        pairs = []
-        for p in self.strand_paths:
-            fwd_t, bwd_t = self.space.strand_targets(p)
-            hi = p + (("z", self.strand_cut),)
-            lo = p + (("z", -self.strand_cut),)
-            if fwd_t in by_addr and hi in by_addr:
-                pairs.append((by_addr[fwd_t], by_addr[hi]))
-            if bwd_t in by_addr and lo in by_addr:
-                pairs.append((by_addr[bwd_t], by_addr[lo]))
-        for path in self.family_nodes:
-            top = self.space.subtree_top(path)
-            if top in by_addr:
-                pairs.append((by_addr[top], by_addr[self.last_member_base(path)]))
+        # each limit point specializes to its minimal-neighborhood stub;
+        # an orbit point's stub is the point alone
+        pairs = [(by_addr[a], by_addr[b]) for a in self.addrs if a[-1][0] != "z"
+                 for b in self.min_nbhd_w(a) if b != a]
         mapping = {}
         for a in self.addrs:
             if a[-1][0] == "z" and abs(a[-1][1]) < self.strand_cut:

@@ -44,13 +44,6 @@ def union_table(gens: Iterable[int]) -> tuple[int, ...]:
     return tuple(table)
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 @dataclass(frozen=True)
 class FiniteSpace:
     """Finite point set with a specialization preorder.
@@ -86,7 +79,10 @@ class FiniteSpace:
         return tuple(self.points[i] for i in _iter_bits(mask))
 
     def pointset(self, members: Iterable[str]) -> "PointSet":
-        return PointSet(self, mask_of(self.idx(p) for p in members))
+        mask = 0
+        for p in members:
+            mask |= 1 << self.idx(p)
+        return PointSet(self, mask)
 
     def closure_mask(self, mask: int) -> int:
         out = 0
@@ -295,29 +291,6 @@ def validate_map(space: FiniteSpace, assignments: dict[str, str]) -> SelfMap:
             if not target >> img[j] & 1:
                 raise ContinuityError(space.points[i], space.points[j])
     return SelfMap(space, img)
-
-
-def comparability_components(space: FiniteSpace) -> list[int]:
-    """Connected components of the comparability graph, as masks."""
-    n = space.n
-    adj = [space.up[i] | space.down[i] for i in range(n)]
-    seen = 0
-    comps = []
-    for i in range(n):
-        if seen >> i & 1:
-            continue
-        comp = 1 << i
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for j in _iter_bits(frontier):
-                nxt |= adj[j]
-            nxt &= ~comp
-            comp |= nxt
-            frontier = nxt
-        seen |= comp
-        comps.append(comp)
-    return comps
 
 
 def is_discrete(space: FiniteSpace) -> bool:

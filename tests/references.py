@@ -1,0 +1,113 @@
+"""Definition-direct and superseded implementations that the tests keep as
+references for the code that replaced them."""
+
+from fixfactor.decomposition import Partition
+from fixfactor.errors import SizeLimitError
+from fixfactor.topology import _iter_bits
+
+
+def count_preorders_bruteforce(n: int) -> int:
+    """Independent counter: filter all reflexive relations for transitivity."""
+    if n > 3:
+        raise SizeLimitError("brute-force counter is for n <= 3")
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    count = 0
+    for bits in range(1 << len(offdiag)):
+        up = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(offdiag):
+            if bits >> k & 1:
+                up[i] |= 1 << j
+        ok = True
+        for i in range(n):
+            for j in _iter_bits(up[i]):
+                if up[j] & ~up[i]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        count += ok
+    return count
+
+
+def one_class(space) -> Partition:
+    """The partition with the whole space as its only class."""
+    return Partition.from_class_of(space, [0] * space.n)
+
+
+def comparability_components(space) -> list[int]:
+    """Connected components of the comparability graph, as masks, by a
+    breadth-first search from each unseen point."""
+    n = space.n
+    adj = [space.up[i] | space.down[i] for i in range(n)]
+    seen = 0
+    comps = []
+    for i in range(n):
+        if seen >> i & 1:
+            continue
+        comp = 1 << i
+        frontier = comp
+        while frontier:
+            nxt = 0
+            for j in _iter_bits(frontier):
+                nxt |= adj[j]
+            nxt &= ~comp
+            comp |= nxt
+            frontier = nxt
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def covering_pairs(sys_) -> list[tuple[str, str]]:
+    """Transitive reduction of specialization from the set of every pair
+    of comparable group heads, one scan over all heads per pair; then one
+    cycle per nontrivial group of mutually specializing points."""
+    space = sys_.space
+    n = space.n
+    first_with: dict[int, int] = {}
+    rep = []
+    for i in range(n):
+        rep.append(first_with.setdefault(space.up[i], i))
+    heads = sorted(set(rep))
+    less = {
+        (a, b)
+        for a in heads
+        for b in heads
+        if a != b and space.up[a] >> b & 1
+    }
+    out = []
+    for a, b in sorted(less):
+        if not any((a, k) in less and (k, b) in less for k in heads):
+            out.append((space.points[a], space.points[b]))
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(rep[i], []).append(i)
+    for members in groups.values():
+        if len(members) > 1:
+            ordered = sorted(members)
+            for a, b in zip(ordered, ordered[1:] + ordered[:1]):
+                out.append((space.points[a], space.points[b]))
+    return out
+
+
+def window_export_pairs(win) -> list[tuple[str, str]]:
+    """The specialization pairs of a window's export, from the strand
+    targets and the last member of every family: each materialized
+    forward and backward limit into the closure of the strand's extreme
+    orbit point, and each materialized family top into the closure of its
+    last member's base."""
+    by_addr = dict(zip(win.addrs, win.names()))
+    pairs = []
+    for p in win.strand_paths:
+        fwd_t, bwd_t = win.space.strand_targets(p)
+        hi = p + (("z", win.strand_cut),)
+        lo = p + (("z", -win.strand_cut),)
+        if fwd_t in by_addr and hi in by_addr:
+            pairs.append((by_addr[fwd_t], by_addr[hi]))
+        if bwd_t in by_addr and lo in by_addr:
+            pairs.append((by_addr[bwd_t], by_addr[lo]))
+    for path in win.family_nodes:
+        top = win.space.subtree_top(path)
+        if top in by_addr:
+            pairs.append((by_addr[top], by_addr[win.last_member_base(path)]))
+    return pairs

@@ -5,7 +5,6 @@ import pytest
 from fixfactor import census
 from fixfactor.census import (
     canonical_form,
-    count_preorders_bruteforce,
     census_failures,
     enumerate_preorders,
     enumerate_systems,
@@ -17,6 +16,7 @@ from fixfactor.cli import main
 from fixfactor.decomposition import Partition
 from fixfactor.errors import SizeLimitError, UnknownNameError
 from fixfactor.systems import sierpinski
+from references import count_preorders_bruteforce
 
 
 def test_preorder_counts_match_known_sequence():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fixfactor
-from fixfactor.cli import load_system, main, report_json, system_from_json
+from fixfactor.census import enumerate_systems, random_systems
+from fixfactor.cli import _covering_pairs, load_system, main, report_json, system_from_json
 from fixfactor.errors import FormatError
 from fixfactor.systems import discrete_swap_plus_fixed
 from fixfactor.topology import system_payload
+from references import covering_pairs
 
 
 @pytest.fixture
@@ -337,3 +340,75 @@ def test_dot_export_cycle_groups(capsys, tmp_path):
     code, out = run_cli(capsys, "export-dot", str(path))
     assert code == 0
     assert '"x" -> "y" [style=dashed' in out and '"y" -> "x" [style=dashed' in out
+
+
+MUTUAL_GROUP_DOT = """\
+digraph system {
+  rankdir=LR;
+  node [style=filled];
+  "d" [label="d|0", fillcolor=lightblue];
+  "a" [label="a|0", fillcolor=lightblue];
+  "e" [label="e|1", fillcolor=lightsalmon];
+  "b" [label="b|0", fillcolor=lightblue];
+  "c" [label="c|0", fillcolor=lightblue];
+  "d" -> "d";
+  "a" -> "a";
+  "e" -> "e";
+  "b" -> "a";
+  "c" -> "c";
+  "a" -> "d" [style=dashed, arrowhead=empty];
+  "c" -> "a" [style=dashed, arrowhead=empty];
+  "a" -> "b" [style=dashed, arrowhead=empty];
+  "b" -> "a" [style=dashed, arrowhead=empty];
+}
+"""
+
+
+@pytest.mark.parametrize("command", [["decompose", "--format", "dot"], ["export-dot"]])
+def test_dot_of_a_mutually_specializing_group_is_pinned(command, tmp_path):
+    # a and b specialize to each other, so the covers run over the group
+    # heads d, a, e and c, and the group gets its cycle
+    path = tmp_path / "mutual.json"
+    path.write_text(json.dumps({
+        "points": ["d", "a", "e", "b", "c"],
+        "specializes": [["a", "b"], ["b", "a"], ["c", "a"], ["a", "d"]],
+        "map": {"a": "a", "b": "a", "c": "c", "d": "d", "e": "e"},
+    }))
+    out = tmp_path / "mutual.dot"
+    assert main([command[0], str(path), *command[1:], "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == MUTUAL_GROUP_DOT
+
+
+def test_covering_pairs_match_the_pair_set_reference():
+    systems = [s for n in range(1, 5) for s in enumerate_systems(n)]
+    systems += [s for n in (6, 7, 8) for s in random_systems(n, 150, seed=600 + n)]
+    for sys_ in systems:
+        assert _covering_pairs(sys_) == covering_pairs(sys_)
+
+
+DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+
+
+def test_dot_escapes_quotes_and_backslashes(tmp_path):
+    names = ['a"b', "c\\d", "e\\", "e\\\\", '"', "f\\\"g"]
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({
+        "points": names,
+        "specializes": [[names[0], names[1]], [names[2], names[3]],
+                        [names[3], names[4]]],
+        "map": {p: p for p in names},
+    }))
+    out = tmp_path / "odd.dot"
+    assert main(["export-dot", str(path), "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    ids = []
+    for line in lines:
+        # every quote opens or closes a well-formed quoted string
+        assert re.fullmatch(rf'(?:[^"]|{DOT_STRING})*', line), line
+        strings = [re.sub(r"\\(.)", r"\1", s[1:-1]) for s in re.findall(DOT_STRING, line)]
+        if "[label=" in line:
+            assert strings[1].rsplit("|", 1)[0] == strings[0]
+            ids.append(strings[0])
+        elif "->" in line:
+            assert len(strings) == 2 and set(strings) <= set(names)
+    assert ids == names

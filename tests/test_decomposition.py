@@ -43,6 +43,7 @@ from fixfactor.systems import (
     sierpinski,
 )
 from fixfactor.topology import PointSet, build_system, is_discrete, system_payload
+from references import one_class
 from set_partitions import iter_partitions
 
 
@@ -193,7 +194,7 @@ def test_min_saturated_open_identity_partition():
 
 def test_min_saturated_open_one_class():
     sys_ = chain("abc")
-    p = Partition.one_class(sys_.space)
+    p = one_class(sys_.space)
     assert min_saturated_open_nbhd(sys_, p, "a").mask == sys_.space.full_mask
 
 
@@ -232,7 +233,7 @@ def test_sorb_closure_identity_partition_is_closure():
 
 def test_sorb_closure_one_class_whole():
     sys_ = chain("abc")
-    p = Partition.one_class(sys_.space)
+    p = one_class(sys_.space)
     assert sorb_closure(sys_, p, sys_.space.pointset(["b"])).mask == \
         sys_.space.full_mask
 
@@ -273,7 +274,7 @@ def test_aorb_succ_swap_definition_direct():
 
 def test_aorb_succ_one_class_whole():
     sys_ = discrete_swap_plus_fixed()
-    p = Partition.one_class(sys_.space)
+    p = one_class(sys_.space)
     assert aorb_succ(sys_, p, "a").mask == sys_.space.full_mask
 
 
@@ -324,7 +325,7 @@ def test_degree_step_fixpoint_on_stationary():
 
 def test_degree_step_one_class():
     sys_ = discrete_swap_plus_fixed()
-    p = Partition.one_class(sys_.space)
+    p = one_class(sys_.space)
     assert degree_step(sys_, p).same_blocks(p)
 
 
@@ -386,7 +387,7 @@ def test_certificate_rejects_a_class_that_is_not_open():
     # is one into closed classes, so the open premise covers both.
     sys_ = sierpinski("id")
     assert not dec._degree_zero_certificate(sys_, Partition.identity(sys_.space))
-    assert dec._degree_zero_certificate(sys_, Partition.one_class(sys_.space))
+    assert dec._degree_zero_certificate(sys_, one_class(sys_.space))
 
 
 def test_certificate_rejects_a_class_that_is_not_invariant():
@@ -655,7 +656,7 @@ def test_quotient_identity_partition_isomorphic():
 
 def test_quotient_one_class():
     sys_ = discrete_swap_plus_fixed()
-    q = quotient(sys_, Partition.one_class(sys_.space))
+    q = quotient(sys_, one_class(sys_.space))
     assert q.quotient.space.n == 1
 
 

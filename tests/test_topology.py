@@ -4,18 +4,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixfactor.census import enumerate_preorders, random_systems
+from fixfactor.decomposition import Partition, comparability_partition
 from fixfactor.errors import ContinuityError, UnknownNameError
 from fixfactor.systems import chain, sierpinski
 from fixfactor.topology import (
     build_space,
     closure,
-    comparability_components,
     interior,
     is_discrete,
     minimal_open,
     space_from_up_masks,
     validate_map,
 )
+from references import comparability_components
 
 
 def members(ps):
@@ -189,12 +191,17 @@ def test_sierpinski_has_exactly_three_continuous_maps():
 
 
 def test_comparability_components():
-    assert len(comparability_components(build_space(["a", "b", "c"], []))) == 3
-    assert len(comparability_components(sierpinski().space)) == 1
+    # comparability_partition is generated_partition on the minimal open
+    # sets; the breadth-first search over the comparability graph is the
+    # reference
     vee = build_space(["u", "p", "q"], [("p", "u"), ("q", "u")])
-    # oracle: undirected reachability on the comparability graph
-    comps = comparability_components(vee)
-    assert len(comps) == 1
+    spaces = [build_space(["a", "b", "c"], []), sierpinski().space, vee]
+    spaces += [sp for n in range(1, 5) for sp in enumerate_preorders(n)]
+    spaces += [s.space for n in (6, 7, 8) for s in random_systems(n, 100, seed=n)]
+    for space in spaces:
+        want = Partition.from_masks(space, comparability_components(space))
+        assert comparability_partition(space).same_blocks(want)
+    assert [comparability_partition(sp).num_classes for sp in spaces[:3]] == [3, 1, 1]
 
 
 def test_is_discrete():

@@ -19,7 +19,8 @@ from fixfactor.ladder.window import (
     window_answers_stable,
 )
 from fixfactor.ordinals import parse_ordinal
-from fixfactor.topology import is_discrete
+from fixfactor.topology import build_space, is_discrete
+from references import window_export_pairs
 
 W2 = parse_ordinal("w*2")
 # the module, which the package's ``window`` function shadows
@@ -115,6 +116,18 @@ def test_window_export_parses_and_collapses():
         assert tr.stabilization_degree.as_int() == 0
         q_discrete = is_discrete(fs.space)
         assert not q_discrete or term == "strand"
+
+
+@pytest.mark.parametrize("term", ["strand", "cat(strand)", "ramp", "cat(ramp)",
+                                  "cat(cat(strand))", "cat(cat(ramp))"])
+def test_window_export_matches_the_strand_and_family_loops(term):
+    # the export reads each limit point's minimal-neighborhood stub; the
+    # loops over strand targets and family tops are the reference
+    sp = build_ladder(term)
+    for cuts in ((1, 1), (3, 3), (5, 6), (7, 7)):
+        w = window(sp, *cuts)
+        want = build_space(w.names(), window_export_pairs(w))
+        assert w.to_finite_system().space.up == want.up, cuts
 
 
 def test_frontier_marks_strand_edges_and_last_family_member():
