@@ -209,7 +209,11 @@ def enumerate_systems(n: int, up_to_iso: bool = False) -> Iterator[FiniteSystem]
 
 
 def random_systems(n: int, count: int, seed: int = SUBSET_SEED) -> list[FiniteSystem]:
-    """Deterministic pseudo-random systems (for spot checks beyond census size)."""
+    """Deterministic pseudo-random systems (for spot checks beyond census
+    size), on 1 to 8 points, one point name per letter of ``_POINT_NAMES``."""
+    if not 1 <= n <= len(_POINT_NAMES):
+        raise SizeLimitError(
+            f"n={n} is outside the random system range 1..{len(_POINT_NAMES)}")
     rng = random.Random(seed)
     names = tuple(_POINT_NAMES[:n])
     out = []

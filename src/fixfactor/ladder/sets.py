@@ -10,11 +10,12 @@ point in closed form.  An orbit point is isolated, so its base orbit is
 its forward tail plus the tail's limit, the strand's attracting end ``A``.
 A limit point is fixed, and its neighborhood filter consists of tails
 with arbitrary cutoffs, so the intersection over all cutoffs keeps only
-what every cutoff forces: each forward-tail source forces that strand's
-``A``; each backward-tail source forces the whole strand (its orbit) and
-both of the strand's limits (its closure); each family-tail source forces
-the node's top.  The union of these is already closed and invariant:
-limit points are fixed, and every strand it holds carries its limits.
+what every cutoff forces.  A forward-tail source forces that strand's
+``A`` and a family-tail source forces the node's top, and both of these
+are the point itself; a backward-tail source forces the whole strand (its
+orbit) and both of the strand's limits (its closure), its ``A`` and the
+point.  The union of these is already closed and invariant: limit points
+are fixed, and every strand it holds carries its limits.
 """
 
 from __future__ import annotations
@@ -81,27 +82,24 @@ def point_sources(space: LadderSpace, addr: Addr) -> list[tuple]:
 
     kinds: ("fwd", strand path), ("bwd", strand path),
     ("family", node path).  Orbit points have no sources.
+
+    The point is read off its validated address.  Below its last nonzero
+    family index (axis, m) the steps spell a base address, so the point is
+    the top of the sibling (axis, m - 1): a strand exactly when that index
+    is the last family step, and a family node otherwise.
     """
     if addr == TOP:
-        return _top_sources_at(space, ())
+        return [("bwd" if space.term.kind == "strand" else "family", ())]
     if addr[-1][0] == "z":
         return []
     out: list[tuple] = [("fwd", addr[:-1])]
     for j in range(len(addr) - 2, -1, -1):
         axis, m = addr[j]
-        if not space.is_canonical_base_suffix(addr, j + 1):
-            break
-        if m >= 1:
-            out.extend(_top_sources_at(space, addr[:j] + ((axis, m - 1),)))
+        if m:
+            kind = "bwd" if j == len(addr) - 2 else "family"
+            out.append((kind, addr[:j] + ((axis, m - 1),)))
             break
     return out
-
-
-def _top_sources_at(space: LadderSpace, path: tuple) -> list[tuple]:
-    term = space.subterm(path)
-    if term.kind == "strand":
-        return [("bwd", path)]
-    return [("family", path)]
 
 
 def ladder_aorb0_addr(space: LadderSpace, addr: Addr) -> SymbolicSet:
@@ -114,18 +112,16 @@ def ladder_aorb0_addr(space: LadderSpace, addr: Addr) -> SymbolicSet:
         out.strands[path] = StrandProfile(addr[-1][1])
         out.pts.add(path + (("A",),))
         return out
-    # a limit point is fixed; each source forces what every cutoff's
-    # invariant closure contains
+    # a limit point is fixed.  Its forward source is its own strand, whose
+    # A is the point; a family source's top and a backward source's
+    # backward limit are the point too, since it is the top of its source.
+    # So only a backward source adds points: the whole strand, which is
+    # the orbit of any backward tail, and the strand's A, its closure.
     out.pts.add(addr)
     for kind, path in point_sources(space, addr):
-        if kind == "fwd":
-            out.pts.add(path + (("A",),))
-        elif kind == "bwd":
-            # the orbit of any backward tail is the whole strand
+        if kind == "bwd":
             out.strands[path] = StrandProfile()
-            out.pts.update(space.strand_targets(path))
-        else:
-            out.pts.add(space.subtree_top(path))
+            out.pts.add(path + (("A",),))
     return out
 
 

@@ -75,10 +75,6 @@ class LadderSpace:
         nxt = (axis, m + 1)
         return parent + (nxt,) + base_addr(child_term(parent_term, nxt))
 
-    def strand_targets(self, strand_path: tuple[Step, ...]) -> tuple[Addr, Addr]:
-        """(forward limit, backward limit) of the strand instance."""
-        return strand_path + (("A",),), self.subtree_top(strand_path)
-
     def validate(self, addr: Addr) -> None:
         if addr == TOP:
             return
@@ -91,10 +87,6 @@ class LadderSpace:
             i += 1
         if t.kind != "strand" or i != len(addr) - 1 or addr[i][0] not in ("A", "z"):
             raise LocatorError(f"address {addr} does not name a point of {self.term}")
-
-    def is_canonical_base_suffix(self, addr: Addr, j: int) -> bool:
-        """True if addr[j:] is the base address of the subterm at addr[:j]."""
-        return addr[j:] == base_addr(self.subterm(addr[:j]))
 
     # -- human-readable names ------------------------------------------
 

@@ -60,8 +60,10 @@ class Window:
         """The points whose neighborhood and image data are complete."""
         return self.addr_set - self.frontier
 
-    def names(self) -> list[str]:
-        return [self.space.render(a) for a in self.addrs]
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """The rendered name of each point, in ``addrs`` order."""
+        return tuple(map(self.space.render, self.addrs))
 
     # -- direct recomputation on the truncation -------------------------
 
@@ -156,7 +158,7 @@ class Window:
     def to_finite_system(self):
         from ..topology import build_system
 
-        names = self.names()
+        names = self.names
         by_addr = dict(zip(self.addrs, names))
         # each limit point specializes to its minimal-neighborhood stub;
         # an orbit point's stub is the point alone
@@ -177,8 +179,9 @@ class Window:
             "term": str(self.space.term),
             "family_cut": self.family_cut,
             "strand_cut": self.strand_cut,
-            "points": self.names(),
-            "frontier": sorted(self.space.render(a) for a in self.frontier),
+            "points": list(self.names),
+            "frontier": sorted(name for a, name in zip(self.addrs, self.names)
+                               if a in self.frontier),
         }
 
 

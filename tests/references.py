@@ -3,6 +3,8 @@ references for the code that replaced them."""
 
 from fixfactor.decomposition import Partition
 from fixfactor.errors import SizeLimitError
+from fixfactor.ladder.sets import StrandProfile, SymbolicSet
+from fixfactor.ladder.space import TOP, base_addr
 from fixfactor.topology import _iter_bits
 
 
@@ -96,10 +98,10 @@ def window_export_pairs(win) -> list[tuple[str, str]]:
     forward and backward limit into the closure of the strand's extreme
     orbit point, and each materialized family top into the closure of its
     last member's base."""
-    by_addr = dict(zip(win.addrs, win.names()))
+    by_addr = dict(zip(win.addrs, win.names))
     pairs = []
     for p in win.strand_paths:
-        fwd_t, bwd_t = win.space.strand_targets(p)
+        fwd_t, bwd_t = strand_targets(win.space, p)
         hi = p + (("z", win.strand_cut),)
         lo = p + (("z", -win.strand_cut),)
         if fwd_t in by_addr and hi in by_addr:
@@ -111,3 +113,54 @@ def window_export_pairs(win) -> list[tuple[str, str]]:
         if top in by_addr:
             pairs.append((by_addr[top], by_addr[win.last_member_base(path)]))
     return pairs
+
+
+def strand_targets(space, path) -> tuple:
+    """(forward limit, backward limit) of the strand instance at path."""
+    return path + (("A",),), space.subtree_top(path)
+
+
+def term_walk_point_sources(space, addr) -> list[tuple]:
+    """Convergence sources by the earlier term walk: from the end of the
+    address, each step's suffix is checked against the base address of its
+    subterm, and a source's kind is read off the subterm at its path."""
+
+    def top_sources_at(path) -> list[tuple]:
+        kind = "bwd" if space.subterm(path).kind == "strand" else "family"
+        return [(kind, path)]
+
+    if addr == TOP:
+        return top_sources_at(())
+    if addr[-1][0] == "z":
+        return []
+    out = [("fwd", addr[:-1])]
+    for j in range(len(addr) - 2, -1, -1):
+        axis, m = addr[j]
+        if addr[j + 1:] != base_addr(space.subterm(addr[:j + 1])):
+            break
+        if m >= 1:
+            out.extend(top_sources_at(addr[:j] + ((axis, m - 1),)))
+            break
+    return out
+
+
+def four_branch_aorb0_addr(space, addr) -> SymbolicSet:
+    """The closed form with one branch per source kind, over the term-walk
+    sources: a forward source adds its strand's ``A``, a backward source
+    the whole strand and both of its limits, a family source its top."""
+    out = SymbolicSet(space)
+    if addr[-1][0] == "z":
+        path = addr[:-1]
+        out.strands[path] = StrandProfile(addr[-1][1])
+        out.pts.add(path + (("A",),))
+        return out
+    out.pts.add(addr)
+    for kind, path in term_walk_point_sources(space, addr):
+        if kind == "fwd":
+            out.pts.add(path + (("A",),))
+        elif kind == "bwd":
+            out.strands[path] = StrandProfile()
+            out.pts.update(strand_targets(space, path))
+        else:
+            out.pts.add(space.subtree_top(path))
+    return out

@@ -151,6 +151,18 @@ def test_random_systems_deterministic():
         [(s.space.up, s.map.img) for s in b]
 
 
+@pytest.mark.parametrize("n", [0, 9])
+def test_random_systems_refuse_sizes_outside_the_point_names(n):
+    with pytest.raises(SizeLimitError):
+        random_systems(n, 1, seed=1)
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_random_systems_at_the_ends_of_the_range(n):
+    systems = random_systems(n, 3, seed=1)
+    assert [s.space.n for s in systems] == [n] * 3
+
+
 def test_finest_abs_stable_catches_a_too_coarse_oracle(monkeypatch):
     # an oracle that merges its first two classes is too coarse on each of
     # the 9 of 75 3-point system classes that have two classes to merge

@@ -44,12 +44,17 @@ WINDOW_SHA256 = {
     ("cat(ramp)", 5, 6): (
         "48e421642ab2114f11dcc1df790e89207f5c790d0e710b1b3cbba876ef4a735f",
         "1f01e67f76d29602303bc5af8835e4d581db5ccfa6c9d5682d812549fdd22818"),
+    ("cat(cat(ramp))", 5, 6): (
+        "c1a5f3edbaa296967af22a6b1901a91f533ae92944243ff0efebbbf479cc4059",
+        "936375d9e7b9b1dc3be65b35d42927e6ad7167c0512db25059a67fb992cec952"),
 }
 
 # `decompose` of the system that `window <term> --system-out` exports
 DECOMPOSE_SHA256 = {
     ("ramp", 5, 6): "50f743852844900d1e30519f3ddb1b268d5f339eff7fdfd7f15e9c1b80ec782f",
     ("cat(ramp)", 5, 6): "7b2af7c7050ff31bffa97a328648fa372b6d6189b059f2f09d263696dc89917e",
+    ("cat(cat(ramp))", 5, 6):
+        "9d39055840da488abb17bae515017d6adcb372f5926f4ba0ed0c83098e51716b",
 }
 
 # `ladder <term>` (trace up to the default --max-degree)
@@ -77,6 +82,14 @@ AORB0_SHA256 = {
     ("cat(ramp)", "K2/B1/K0/c:3"): "293a77790812d157cefb01d575e33ecd2fdfae8d429a125cc8267c2497e43817",
     ("cat(ramp)", "K3/B0/S:1:2"): "43fb7ba3ca2af166a7daf6973f9c8330da9e30abeabb3972fba994242803cad3",
     ("cat(ramp)", "top"): "ca70b99c5ca245e128a06a0e2c2d4d02a0e0a24ac671e92e2280630d9d7bfa9d",
+    ("cat(cat(ramp))", "K1/K0/B0/c:0"):
+        "83e6fd55bca2d9bf5328eb465dc570a4dc2b5ad6eef9829fa4696de51059b998",
+    ("cat(cat(ramp))", "K0/K2/B1/K0/c:0"):
+        "cd18a94465cf75aa68bc904d4f53f54caf4e0205606ecc35bea17cccd8c394b9",
+    ("cat(cat(ramp))", "K0/K0/B1/K1/S:1:-2"):
+        "71e0c7da36d1ff1b388412ea02d7c7e1a3b9f1f33a85830dfbf5d5ff8c3a8507",
+    ("cat(cat(ramp))", "top"):
+        "857676c32e4b0cad2e6cff180bd6a54e2e26295b7147a1ed09441766d80e2bf5",
 }
 
 

@@ -20,7 +20,12 @@ from fixfactor.ladder.window import (
 )
 from fixfactor.ordinals import parse_ordinal
 from fixfactor.topology import build_space, is_discrete
-from references import window_export_pairs
+from references import (
+    four_branch_aorb0_addr,
+    strand_targets,
+    term_walk_point_sources,
+    window_export_pairs,
+)
 
 W2 = parse_ordinal("w*2")
 # the module, which the package's ``window`` function shadows
@@ -32,13 +37,13 @@ def test_strand_window_point_count():
     w = window(sp, 3, 2)
     # two endpoints plus five orbit points
     assert len(w.addrs) == 7
-    assert set(w.names()) == {"A", "z:-2", "z:-1", "z:0", "z:1", "z:2", "top"}
+    assert set(w.names) == {"A", "z:-2", "z:-1", "z:0", "z:1", "z:2", "top"}
 
 
 def test_cat_strand_window_materializes_blocks():
     sp = build_ladder("cat(strand)")
     w = window(sp, 2, 1)
-    names = set(w.names())
+    names = set(w.names)
     assert {"c:0", "c:1", "c:2", "top"} <= names
     assert "S:1:0" in names and "S:2:0" in names
     assert "c:3" not in names
@@ -126,7 +131,7 @@ def test_window_export_matches_the_strand_and_family_loops(term):
     sp = build_ladder(term)
     for cuts in ((1, 1), (3, 3), (5, 6), (7, 7)):
         w = window(sp, *cuts)
-        want = build_space(w.names(), window_export_pairs(w))
+        want = build_space(w.names, window_export_pairs(w))
         assert w.to_finite_system().space.up == want.up, cuts
 
 
@@ -359,7 +364,7 @@ def reference_closure(w, s: set) -> set:
             continue
         cands = []
         if a[-1][0] == "z":
-            fwd_t, bwd_t = w.space.strand_targets(a[:-1])
+            fwd_t, bwd_t = strand_targets(w.space, a[:-1])
             if a[-1][1] == w.strand_cut:
                 cands.append(fwd_t)
             if a[-1][1] == -w.strand_cut:
@@ -486,7 +491,7 @@ def reference_aorb0_addr(space, addr) -> SymbolicSet:
         # repelling one
         new = []
         for path, prof in out.strands.items():
-            fwd_t, bwd_t = space.strand_targets(path)
+            fwd_t, bwd_t = strand_targets(space, path)
             if prof.full or prof.fwd is not None:
                 new.append(fwd_t)
             if prof.full or prof.bwd is not None:
@@ -499,7 +504,7 @@ def reference_aorb0_addr(space, addr) -> SymbolicSet:
         return grew
 
     add_point(addr)
-    for kind, path in point_sources(space, addr):
+    for kind, path in term_walk_point_sources(space, addr):
         if kind == "fwd":
             add_point(path + (("A",),))
         elif kind == "bwd":
@@ -519,3 +524,98 @@ def test_aorb0_closed_form_matches_rule_table_fixpoint(term, cuts):
         got, ref = ladder_aorb0_addr(sp, a), reference_aorb0_addr(sp, a)
         assert got.to_json() == ref.to_json(), (term, cuts, a)
         assert _decode(got, w) == _decode(ref, w), (term, cuts, a)
+
+
+# every window of these terms under the point cap: the address rule for the
+# convergence sources and the shortened closed form are held to the term
+# walk and the four-branch closed form on each address
+SOURCE_TERMS = ["strand", "cat(strand)", "ramp", "cat(ramp)", "cat(cat(strand))",
+                "cat(cat(ramp))", "cat(cat(cat(strand)))", "cat(cat(cat(ramp)))"]
+SOURCE_CUTS = [(1, 1), (3, 3), (5, 6), (7, 7)]
+
+
+def source_windows():
+    for term in SOURCE_TERMS:
+        sp = build_ladder(term)
+        for cuts in SOURCE_CUTS:
+            try:
+                yield sp, window(sp, *cuts)
+            except SizeLimitError:
+                continue
+
+
+def deep_locators():
+    """Locators far below the windows: the deepest ramp block, under a cat
+    layer, with the last nonzero family index at every depth."""
+    chain = ["K0"] * 100
+    out = [("ramp", "top"), ("cat(ramp)", "top")]
+    for i in (0, 1, 50, 99):
+        ks = chain[:i] + ["K3"] + chain[i + 1:]
+        for tail in ("c:0", "c:2", "S:1:0", "S:3:-4"):
+            for head in ("", "K7/"):
+                term = "cat(ramp)" if head else "ramp"
+                out.append((term, head + "/".join(["B100", *ks, tail])))
+                out.append((term, head + "/".join(["B100", *chain, tail])))
+    return out
+
+
+def test_point_sources_address_rule_matches_term_walk():
+    seen = 0
+    for sp, w in source_windows():
+        for a in w.addrs:
+            assert point_sources(sp, a) == term_walk_point_sources(sp, a), a
+            seen += 1
+    assert seen > 70_000
+    for term, locator in deep_locators():
+        sp = build_ladder(term)
+        a = sp.parse_locator(locator)
+        assert point_sources(sp, a) == term_walk_point_sources(sp, a), locator
+
+
+def test_limit_point_is_the_forward_limit_family_top_and_backward_limit():
+    limits = 0
+    for sp, w in source_windows():
+        for a in w.addrs:
+            if a[-1][0] == "z":
+                continue
+            limits += 1
+            for kind, path in term_walk_point_sources(sp, a):
+                if kind == "fwd":
+                    assert strand_targets(sp, path)[0] == a
+                elif kind == "bwd":
+                    assert strand_targets(sp, path)[1] == a
+                else:
+                    assert sp.subtree_top(path) == a
+    assert limits > 4_000
+
+
+def test_aorb0_closed_form_matches_four_branch_form():
+    for sp, w in source_windows():
+        for a in w.addrs:
+            got, ref = ladder_aorb0_addr(sp, a), four_branch_aorb0_addr(sp, a)
+            assert (got.pts, got.strands) == (ref.pts, ref.strands), a
+    for term, locator in deep_locators():
+        sp = build_ladder(term)
+        a = sp.parse_locator(locator)
+        got, ref = ladder_aorb0_addr(sp, a), four_branch_aorb0_addr(sp, a)
+        assert (got.pts, got.strands) == (ref.pts, ref.strands), locator
+
+
+def test_system_export_renders_each_point_once(tmp_path, monkeypatch):
+    from fixfactor.cli import main
+    from fixfactor.ladder.space import LadderSpace
+
+    calls = []
+    render = LadderSpace.render
+
+    def counted(self, addr):
+        calls.append(addr)
+        return render(self, addr)
+
+    monkeypatch.setattr(LadderSpace, "render", counted)
+    assert main(["window", "cat(ramp)", "--family-cut", "3", "--strand-cut", "3",
+                 "--system-out", str(tmp_path / "system.json"),
+                 "--out", str(tmp_path / "window.json")]) == 0
+    points = len(window(build_ladder("cat(ramp)"), 3, 3).addrs)
+    assert points == 209
+    assert len(calls) == points
