@@ -12,10 +12,11 @@ A limit point is fixed, and its neighborhood filter consists of tails
 with arbitrary cutoffs, so the intersection over all cutoffs keeps only
 what every cutoff forces.  A forward-tail source forces that strand's
 ``A`` and a family-tail source forces the node's top, and both of these
-are the point itself; a backward-tail source forces the whole strand (its
-orbit) and both of the strand's limits (its closure), its ``A`` and the
-point.  The union of these is already closed and invariant: limit points
-are fixed, and every strand it holds carries its limits.
+are the point itself; so the closed form reads only the backward source,
+read off the point's address.  A backward-tail source forces the whole
+strand (its orbit) and both of the strand's limits (its closure), its
+``A`` and the point.  The union of these is already closed and invariant:
+limit points are fixed, and every strand it holds carries its limits.
 """
 
 from __future__ import annotations
@@ -77,29 +78,22 @@ class SymbolicSet:
         return {"components": [comp for _, comp in self.components()]}
 
 
-def point_sources(space: LadderSpace, addr: Addr) -> list[tuple]:
-    """Convergence sources of a point, as (kind, path) descriptors.
+def backward_source(space: LadderSpace, addr: Addr) -> tuple | None:
+    """The strand whose backward tail converges to a validated point, or
+    None.
 
-    kinds: ("fwd", strand path), ("bwd", strand path),
-    ("family", node path).  Orbit points have no sources.
-
-    The point is read off its validated address.  Below its last nonzero
-    family index (axis, m) the steps spell a base address, so the point is
-    the top of the sibling (axis, m - 1): a strand exactly when that index
-    is the last family step, and a family node otherwise.
+    Below a limit point's last nonzero family index (axis, m) the steps
+    spell a base address, so the point is the top of the sibling
+    (axis, m - 1), and that sibling is a strand exactly when the index is
+    the last family step.  ``top`` is a backward limit only when the whole
+    space is one strand.
     """
     if addr == TOP:
-        return [("bwd" if space.term.kind == "strand" else "family", ())]
-    if addr[-1][0] == "z":
-        return []
-    out: list[tuple] = [("fwd", addr[:-1])]
-    for j in range(len(addr) - 2, -1, -1):
-        axis, m = addr[j]
-        if m:
-            kind = "bwd" if j == len(addr) - 2 else "family"
-            out.append((kind, addr[:j] + ((axis, m - 1),)))
-            break
-    return out
+        return () if space.term.kind == "strand" else None
+    if addr[-1][0] == "z" or len(addr) == 1 or not addr[-2][1]:
+        return None
+    axis, m = addr[-2]
+    return addr[:-2] + ((axis, m - 1),)
 
 
 def ladder_aorb0_addr(space: LadderSpace, addr: Addr) -> SymbolicSet:
@@ -118,10 +112,10 @@ def ladder_aorb0_addr(space: LadderSpace, addr: Addr) -> SymbolicSet:
     # So only a backward source adds points: the whole strand, which is
     # the orbit of any backward tail, and the strand's A, its closure.
     out.pts.add(addr)
-    for kind, path in point_sources(space, addr):
-        if kind == "bwd":
-            out.strands[path] = StrandProfile()
-            out.pts.add(path + (("A",),))
+    path = backward_source(space, addr)
+    if path is not None:
+        out.strands[path] = StrandProfile()
+        out.pts.add(path + (("A",),))
     return out
 
 

@@ -33,13 +33,6 @@ def child_term(term: LadderTerm, step: Step) -> LadderTerm:
     raise LocatorError(f"step {step} does not match term {term}")
 
 
-def term_at(root: LadderTerm, path: tuple[Step, ...]) -> LadderTerm:
-    t = root
-    for step in path:
-        t = child_term(t, step)
-    return t
-
-
 @lru_cache(maxsize=None)
 def base_addr(term: LadderTerm) -> Addr:
     if term.kind == "strand":
@@ -53,27 +46,10 @@ def base_addr(term: LadderTerm) -> Addr:
 class LadderSpace:
     term: LadderTerm
 
-    def subterm(self, path: tuple[Step, ...]) -> LadderTerm:
-        return term_at(self.term, path)
-
     def phi(self, addr: Addr) -> Addr:
         if addr[-1][0] == "z":
             return addr[:-1] + (("z", addr[-1][1] + 1),)
         return addr
-
-    def subtree_top(self, path: tuple[Step, ...]) -> Addr:
-        """Top point of the node instance at the given family path.
-
-        For a copy/block at index m this is the next sibling's base; for
-        the root it is the space's own top point.
-        """
-        if not path:
-            return TOP
-        parent = path[:-1]
-        axis, m = path[-1]
-        parent_term = self.subterm(parent)
-        nxt = (axis, m + 1)
-        return parent + (nxt,) + base_addr(child_term(parent_term, nxt))
 
     def validate(self, addr: Addr) -> None:
         if addr == TOP:

@@ -39,9 +39,9 @@ def class_key(space: LadderSpace, degree: OrdinalCNF, addr: Addr) -> tuple:
 
 
 class _KeyNode:
-    """One subterm met by the key walk at a fixed degree.
+    """One term met by the key walk at a fixed degree.
 
-    Whether the degree reaches the subterm's interior merge degree is
+    Whether the degree reaches the term's interior merge degree is
     decided once, when the node is built.  Below it, a cat node descends
     into its child and a ramp node, whose degree is then finite, into the
     block nodes it builds on first use.

@@ -5,38 +5,41 @@ sum to at most the family cut and whose orbit index lies within the
 strand cut, plus the top point.  Frontier points are those whose
 neighborhood or image data is truncated: the extreme orbit points of
 every strand and the entire last materialized member of every family.
-One walk over the family tree lists the strands in address order, each
-flagged when it lies in a last member; the window's size follows from
-their number, so an oversized window is refused before any address is
-built, and the addresses and the frontier are then expanded strand by
-strand.
+One walk over the family tree expands the strands in address order and
+records the window's topology as it goes: each limit point's
+minimal-neighborhood stub, and each strand's closure witnesses, the
+materialized tops of the families whose last member holds it (a strand
+is on the frontier exactly when it has one) and its own top.  The
+window's size follows from the number of strands, so an oversized window
+is refused before the strand that crosses the cap is expanded.
 
 The audit recomputes base-degree orbits on the window by walking the
 truncation directly (minimal-neighborhood stubs at the frontier, the
 orbit with a frontier jump onto forward limits, closure driven by the
-true convergence tables) and compares against the symbolic answers on
-non-frontier points, where no slack is allowed.  Partition claims are
-audited for disjoint cover, forward invariance, monotone coarsening and
-agreement with the overlap-generated equivalence of the recomputed
-orbits.  One pass over the non-frontier points recomputes each orbit once,
-audits the claim against it and merges it into that equivalence at once;
-each point's image is computed once for all degrees.  The exported
-finite system puts each limit point into the closure of every point of
-its minimal-neighborhood stub, the same stubs the audit uses, and freezes
-the map at the frontier so that it parses and validates; it is an audit
+recorded witnesses) and compares against the symbolic answers on
+non-frontier points, where no slack is allowed; it shares no source rule
+with the closed form.  Partition claims are audited for disjoint cover,
+forward invariance, monotone coarsening and agreement with the
+overlap-generated equivalence of the recomputed orbits.  One pass over
+the non-frontier points recomputes each orbit once, audits the claim
+against it and merges it into that equivalence at once; each point's
+image is computed once for all degrees.  The exported finite system puts
+each limit point into the closure of every point of its
+minimal-neighborhood stub, the same stubs the audit uses, and freezes the
+map at the frontier so that it parses and validates; it is an audit
 artifact, not an input for the finite stabilization pipeline, which would
 collapse any truncation to degree 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import CoverError, InternalError, SizeLimitError
 from ..ordinals import ZERO, OrdinalCNF
 from .space import Addr, LadderSpace, TOP, base_addr, child_term
-from .sets import SymbolicSet, ladder_aorb0_addr, point_sources
+from .sets import SymbolicSet, ladder_aorb0_addr
 from .terms import LadderTerm
 from .trace import LadderTrace
 
@@ -48,8 +51,11 @@ class Window:
     strand_cut: int
     addrs: tuple[Addr, ...]
     frontier: frozenset[Addr]
-    strand_paths: tuple[tuple, ...]
-    family_nodes: dict[tuple, int] = field(default_factory=dict)  # path -> max index
+    # limit point -> its stub beyond itself: one frontier point per source
+    stubs: dict[Addr, tuple[Addr, ...]]
+    # strand path -> (materialized tops of the families in whose last
+    # member it lies, its own top or None), in address order
+    strands: dict[tuple, tuple[tuple[Addr, ...], Addr | None]]
 
     @cached_property
     def addr_set(self) -> frozenset:
@@ -86,43 +92,24 @@ class Window:
                 frontier.append(nxt)
         return out
 
-    @cached_property
-    def limit_tops(self) -> dict[tuple, tuple[Addr, ...]]:
-        """Strand path -> the materialized tops of the families in whose
-        last member the strand lies: the limit points that frontier
-        membership of its points witnesses."""
-        tops: dict[tuple, Addr] = {}
-        for path in self.family_nodes:
-            top = self.space.subtree_top(path)
-            if top in self.addr_set:
-                tops[path] = top
-        out: dict[tuple, tuple[Addr, ...]] = {}
-        for p in self.strand_paths:
-            hit = tuple(tops[p[:i]] for i, step in enumerate(p)
-                        if self.family_nodes[p[:i]] == step[1] and p[:i] in tops)
-            if hit:
-                out[p] = hit
-        return out
-
     def closure_w(self, s: set[Addr]) -> set[Addr]:
         """Add limit points witnessed by frontier membership."""
         out = set(s)
         work = list(s)
-        limit_tops = self.limit_tops
-        addr_set = self.addr_set
-        cut = self.strand_cut
+        strands = self.strands
+        hi, lo = ("z", self.strand_cut), ("z", -self.strand_cut)
         while work:
             a = work.pop()
             if a == TOP:
                 continue
             p, last = a[:-1], a[-1]
-            cands = limit_tops.get(p, ())
-            if last[0] == "z" and last[1] == cut:
+            cands, top = strands[p]
+            if last == hi:
                 cands += (p + (("A",),),)
-            elif last[0] == "z" and last[1] == -cut:
-                cands += (self.space.subtree_top(p),)
+            elif last == lo and top is not None:
+                cands += (top,)
             for c in cands:
-                if c not in out and c in addr_set:
+                if c not in out:
                     out.add(c)
                     work.append(c)
         return out
@@ -130,25 +117,7 @@ class Window:
     def min_nbhd_w(self, addr: Addr) -> set[Addr]:
         """Minimal-neighborhood stub: the point plus one frontier point
         per convergence source."""
-        out = {addr}
-        for kind, path in point_sources(self.space, addr):
-            if kind == "fwd":
-                cand = path + (("z", self.strand_cut),)
-                if cand in self.addr_set:
-                    out.add(cand)
-            elif kind == "bwd":
-                cand = path + (("z", -self.strand_cut),)
-                if cand in self.addr_set:
-                    out.add(cand)
-            elif path in self.family_nodes:
-                out.add(self.last_member_base(path))
-        return out
-
-    def last_member_base(self, path: tuple) -> Addr:
-        """Base point of the last materialized member of the family at path."""
-        term = self.space.subterm(path)
-        step = ("block" if term.kind == "ramp" else "copy", self.family_nodes[path])
-        return path + (step,) + base_addr(child_term(term, step))
+        return {addr, *self.stubs.get(addr, ())}
 
     def aorb0_w(self, addr: Addr) -> set[Addr]:
         return self.closure_w(self.orbit_w(self.min_nbhd_w(addr)))
@@ -162,8 +131,8 @@ class Window:
         by_addr = dict(zip(self.addrs, names))
         # each limit point specializes to its minimal-neighborhood stub;
         # an orbit point's stub is the point alone
-        pairs = [(by_addr[a], by_addr[b]) for a in self.addrs if a[-1][0] != "z"
-                 for b in self.min_nbhd_w(a) if b != a]
+        pairs = [(by_addr[a], by_addr[b]) for a, stub in self.stubs.items()
+                 for b in stub]
         mapping = {}
         for a in self.addrs:
             if a[-1][0] == "z" and abs(a[-1][1]) < self.strand_cut:
@@ -195,39 +164,53 @@ def window(space: LadderSpace, family_cut: int, strand_cut: int) -> Window:
     The family cut bounds the sum of family indices along an address, so
     nested terms stay polynomial in size; on a single-axis space it is
     simply the largest materialized index.  Windows of more than
-    ``WINDOW_POINT_CAP`` points are refused before any address is built.
+    ``WINDOW_POINT_CAP`` points are refused as soon as the walk counts
+    that many, before the strand that crosses the cap is expanded.
     """
     if family_cut < 1 or strand_cut < 1:
         raise CoverError("window cuts must be at least 1")
-    families: dict[tuple, int] = {}
-    strands: list[tuple[tuple, bool]] = []  # (path, lies in a last member)
+    addrs: list[Addr] = []
+    frontier: set[Addr] = set()
+    stubs: dict[Addr, tuple[Addr, ...]] = {}
+    strands: dict[tuple, tuple] = {}
 
-    def walk(term: LadderTerm, path: tuple, budget: int, in_last: bool):
+    def walk(term: LadderTerm, path: tuple, budget: int, base: Addr,
+             top: Addr | None, held: tuple, below: Addr | None) -> Addr:
+        """Expand the node at path, given its base, its top when
+        materialized, the materialized tops of the families whose last
+        member holds it, and the stub point its base inherits from the
+        sibling below it; return the stub point of its own top."""
         if term.kind == "strand":
-            strands.append((path, in_last))
-            if len(strands) * (2 * strand_cut + 2) + 1 > WINDOW_POINT_CAP:
+            if (len(strands) + 1) * (2 * strand_cut + 2) + 1 > WINDOW_POINT_CAP:
                 raise SizeLimitError(
                     f"window of {space.term} at cuts ({family_cut},{strand_cut}) "
                     f"has more than {WINDOW_POINT_CAP} points"
                 )
-            return
+            strands[path] = (held, top)
+            points = [base]
+            points += [path + (("z", j),) for j in range(-strand_cut, strand_cut + 1)]
+            stubs[base] = (points[-1],) if below is None else (points[-1], below)
+            addrs.extend(points)
+            frontier.update(points if held else (points[1], points[-1]))
+            return points[1]
         axis = "copy" if term.kind == "cat" else "block"
-        families[path] = budget
-        for m in range(budget + 1):
-            walk(child_term(term, (axis, m)), path + ((axis, m),), budget - m,
-                 in_last or m == budget)
+        for m in range(budget):
+            # member m's top is member m + 1's base
+            nxt = path + ((axis, m + 1),) + base_addr(child_term(term, (axis, m + 1)))
+            below = walk(child_term(term, (axis, m)), path + ((axis, m),), budget - m,
+                         base, nxt, held, below)
+            base = nxt
+        walk(child_term(term, (axis, budget)), path + ((axis, budget),), 0, base, None,
+             held if top is None else held + (top,), below)
+        return base
 
-    walk(space.term, (), family_cut, False)
-    addrs: list[Addr] = []
-    frontier: set[Addr] = set()
-    for path, in_last in strands:
-        points = [path + (("A",),)]
-        points += [path + (("z", j),) for j in range(-strand_cut, strand_cut + 1)]
-        addrs += points
-        frontier.update(points if in_last else (points[1], points[-1]))
+    stubs[TOP] = (walk(space.term, (), family_cut, base_addr(space.term), TOP, (), None),)
+    # the walk refers to itself through its closure: unbinding it frees the
+    # lists it filled at once, not at the next garbage collection
+    del walk
     addrs.append(TOP)
     return Window(space, family_cut, strand_cut, tuple(addrs), frozenset(frontier),
-                  tuple(path for path, _ in strands), families)
+                  stubs, strands)
 
 
 @dataclass
@@ -289,11 +272,12 @@ def check_orbit_set(win: Window, addr: Addr, claimed: SymbolicSet,
         if a not in win.frontier:
             violation(f"closure violation at {space.render(a)}")
     # neighborhood property
-    for a in win.min_nbhd_w(addr):
+    stub = win.min_nbhd_w(addr)
+    for a in stub:
         if a not in decoded and a not in win.frontier:
             violation(f"minimal neighborhood point {space.render(a)} missing")
     # pointwise agreement with the direct recomputation off the frontier
-    recomputed = win.aorb0_w(addr)
+    recomputed = win.closure_w(win.orbit_w(stub))
     for a in (recomputed ^ decoded) & win.nonfrontier:
         violation(f"disagreement with window recomputation at {space.render(a)}")
     return recomputed

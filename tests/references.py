@@ -4,7 +4,7 @@ references for the code that replaced them."""
 from fixfactor.decomposition import Partition
 from fixfactor.errors import SizeLimitError
 from fixfactor.ladder.sets import StrandProfile, SymbolicSet
-from fixfactor.ladder.space import TOP, base_addr
+from fixfactor.ladder.space import TOP, base_addr, child_term
 from fixfactor.topology import _iter_bits
 
 
@@ -92,6 +92,75 @@ def covering_pairs(sys_) -> list[tuple[str, str]]:
     return out
 
 
+def term_at(root, path):
+    """The subterm at a family path, by a walk from the root."""
+    t = root
+    for step in path:
+        t = child_term(t, step)
+    return t
+
+
+def subtree_top(space, path):
+    """Top point of the node instance at a family path, by a walk from the
+    root: the next sibling's base, or the space's top at the root."""
+    if not path:
+        return TOP
+    axis, m = path[-1]
+    nxt = (axis, m + 1)
+    return path[:-1] + (nxt,) + base_addr(child_term(term_at(space.term, path[:-1]), nxt))
+
+
+def strand_paths(win) -> list:
+    """The strand paths of a window, in address order, off its addresses."""
+    return list(dict.fromkeys(a[:-1] for a in win.addrs if a != TOP))
+
+
+def family_paths(win) -> list:
+    """The family nodes of a window: every proper prefix of a strand path."""
+    return list(dict.fromkeys(p[:i] for p in strand_paths(win) for i in range(len(p))))
+
+
+def last_member(win, path):
+    """Path of the last materialized member of the family at path: its index
+    is what the family cut leaves after the indices along the path."""
+    axis = "block" if term_at(win.space.term, path).kind == "ramp" else "copy"
+    return path + ((axis, win.family_cut - sum(m for _, m in path)),)
+
+
+def last_member_base(win, path):
+    """Base point of the last materialized member of the family at path."""
+    last = last_member(win, path)
+    return last + base_addr(term_at(win.space.term, last))
+
+
+def term_walk_min_nbhd(win, addr) -> set:
+    """Minimal-neighborhood stub from the term-walk sources: the point, the
+    materialized z = +cut point of a forward source, the z = -cut point of
+    a backward source and the last member's base of a family source."""
+    out = {addr}
+    for kind, path in term_walk_point_sources(win.space, addr):
+        if kind == "fwd":
+            cand = path + (("z", win.strand_cut),)
+        elif kind == "bwd":
+            cand = path + (("z", -win.strand_cut),)
+        else:
+            cand = last_member_base(win, path)
+        if cand in win.addr_set:
+            out.add(cand)
+    return out
+
+
+def term_walk_strand_witnesses(win, path) -> tuple:
+    """The closure witnesses of a strand by walks from the root: the
+    materialized tops of the families in whose last member it lies,
+    outermost first, and its own top when materialized."""
+    held = tuple(top for i in range(len(path))
+                 if path[:i + 1] == last_member(win, path[:i])
+                 and (top := subtree_top(win.space, path[:i])) in win.addr_set)
+    top = subtree_top(win.space, path)
+    return held, top if top in win.addr_set else None
+
+
 def window_export_pairs(win) -> list[tuple[str, str]]:
     """The specialization pairs of a window's export, from the strand
     targets and the last member of every family: each materialized
@@ -100,7 +169,7 @@ def window_export_pairs(win) -> list[tuple[str, str]]:
     last member's base."""
     by_addr = dict(zip(win.addrs, win.names))
     pairs = []
-    for p in win.strand_paths:
+    for p in strand_paths(win):
         fwd_t, bwd_t = strand_targets(win.space, p)
         hi = p + (("z", win.strand_cut),)
         lo = p + (("z", -win.strand_cut),)
@@ -108,25 +177,28 @@ def window_export_pairs(win) -> list[tuple[str, str]]:
             pairs.append((by_addr[fwd_t], by_addr[hi]))
         if bwd_t in by_addr and lo in by_addr:
             pairs.append((by_addr[bwd_t], by_addr[lo]))
-    for path in win.family_nodes:
-        top = win.space.subtree_top(path)
+    for path in family_paths(win):
+        top = subtree_top(win.space, path)
         if top in by_addr:
-            pairs.append((by_addr[top], by_addr[win.last_member_base(path)]))
+            pairs.append((by_addr[top], by_addr[last_member_base(win, path)]))
     return pairs
 
 
 def strand_targets(space, path) -> tuple:
     """(forward limit, backward limit) of the strand instance at path."""
-    return path + (("A",),), space.subtree_top(path)
+    return path + (("A",),), subtree_top(space, path)
 
 
 def term_walk_point_sources(space, addr) -> list[tuple]:
     """Convergence sources by the earlier term walk: from the end of the
     address, each step's suffix is checked against the base address of its
-    subterm, and a source's kind is read off the subterm at its path."""
+    subterm, and a source's kind is read off the subterm at its path.
+
+    kinds: ("fwd", strand path), ("bwd", strand path),
+    ("family", node path).  Orbit points have no sources."""
 
     def top_sources_at(path) -> list[tuple]:
-        kind = "bwd" if space.subterm(path).kind == "strand" else "family"
+        kind = "bwd" if term_at(space.term, path).kind == "strand" else "family"
         return [(kind, path)]
 
     if addr == TOP:
@@ -136,7 +208,7 @@ def term_walk_point_sources(space, addr) -> list[tuple]:
     out = [("fwd", addr[:-1])]
     for j in range(len(addr) - 2, -1, -1):
         axis, m = addr[j]
-        if addr[j + 1:] != base_addr(space.subterm(addr[:j + 1])):
+        if addr[j + 1:] != base_addr(term_at(space.term, addr[:j + 1])):
             break
         if m >= 1:
             out.extend(top_sources_at(addr[:j] + ((axis, m - 1),)))
@@ -162,5 +234,5 @@ def four_branch_aorb0_addr(space, addr) -> SymbolicSet:
             out.strands[path] = StrandProfile()
             out.pts.update(strand_targets(space, path))
         else:
-            out.pts.add(space.subtree_top(path))
+            out.pts.add(subtree_top(space, path))
     return out

@@ -7,8 +7,8 @@ import pytest
 from fixfactor.decomposition import stabilize
 from fixfactor.errors import CoverError, InternalError, LocatorError, SizeLimitError
 from fixfactor.ladder import build_ladder, ladder_trace, window, window_check
-from fixfactor.ladder.sets import SymbolicSet, ladder_aorb0_addr, point_sources
-from fixfactor.ladder.space import TOP, child_term, term_at
+from fixfactor.ladder.sets import SymbolicSet, backward_source, ladder_aorb0_addr
+from fixfactor.ladder.space import TOP, child_term
 from fixfactor.ladder.terms import ramp_block_term, term_interior_merge, term_stab
 from fixfactor.ladder.trace import LadderTrace, class_key
 from fixfactor.ladder.window import (
@@ -21,9 +21,16 @@ from fixfactor.ladder.window import (
 from fixfactor.ordinals import parse_ordinal
 from fixfactor.topology import build_space, is_discrete
 from references import (
+    family_paths,
     four_branch_aorb0_addr,
+    last_member,
+    strand_paths,
     strand_targets,
+    subtree_top,
+    term_at,
+    term_walk_min_nbhd,
     term_walk_point_sources,
+    term_walk_strand_witnesses,
     window_export_pairs,
 )
 
@@ -147,16 +154,14 @@ def test_frontier_marks_strand_edges_and_last_family_member():
 def reference_frontier(w) -> frozenset:
     """The frontier by the direct scan: every address against the last
     member of every family."""
-    space = w.space
     frontier = set()
-    for p in w.strand_paths:
+    for p in strand_paths(w):
         for j in (-w.strand_cut, w.strand_cut):
             a = p + (("z", j),)
             if a in w.addr_set:
                 frontier.add(a)
-    for path, maxm in w.family_nodes.items():
-        axis = "block" if space.subterm(path).kind == "ramp" else "copy"
-        last = path + ((axis, maxm),)
+    for path in family_paths(w):
+        last = last_member(w, path)
         for a in w.addrs:
             if a != TOP and a[: len(last)] == last:
                 frontier.add(a)
@@ -178,9 +183,9 @@ def addr_sort_key(addr) -> tuple:
 
 
 def reference_window(term, budget: int, j_cut: int):
-    """Addresses, frontier and family budgets by the earlier build: a
-    recursion over the term whose output is sorted by address, then a scan
-    of every address's proper prefixes for the last member of a family."""
+    """Addresses and frontier by the earlier build: a recursion over the
+    term whose output is sorted by address, then a scan of every address's
+    proper prefixes for the last member of a family."""
     families = {}
 
     def enumerate_addrs(term, path, budget):
@@ -200,7 +205,7 @@ def reference_window(term, budget: int, j_cut: int):
     lasts = {path + (("block" if term_at(term, path).kind == "ramp" else "copy", maxm),)
              for path, maxm in families.items()}
     frontier |= {a for a in addrs if any(a[:k] in lasts for k in range(1, len(a)))}
-    return tuple(addrs), frozenset(frontier), families
+    return tuple(addrs), frozenset(frontier)
 
 
 @pytest.mark.parametrize("term,cuts", [
@@ -212,7 +217,8 @@ def test_frontier_and_size_match_direct_scans(term, cuts):
     sp = build_ladder(term)
     w = window(sp, *cuts)
     assert w.frontier == reference_frontier(w)
-    assert (w.addrs, w.frontier, w.family_nodes) == reference_window(sp.term, *cuts)
+    assert (w.addrs, w.frontier) == reference_window(sp.term, *cuts)
+    assert list(w.strands) == strand_paths(w)
 
 
 class SplitOnePoint:
@@ -370,8 +376,8 @@ def reference_closure(w, s: set) -> set:
             if a[-1][1] == -w.strand_cut:
                 cands.append(bwd_t)
         for i, step in enumerate(a):
-            if step[0] in ("copy", "block") and w.family_nodes.get(a[:i]) == step[1]:
-                cands.append(w.space.subtree_top(a[:i]))
+            if step[0] in ("copy", "block") and a[:i + 1] == last_member(w, a[:i]):
+                cands.append(subtree_top(w.space, a[:i]))
         for c in cands:
             if c in w.addr_set and c not in out:
                 out.add(c)
@@ -510,7 +516,7 @@ def reference_aorb0_addr(space, addr) -> SymbolicSet:
         elif kind == "bwd":
             add_strand(path, ReferenceProfile(full=True))
         else:
-            add_point(space.subtree_top(path))
+            add_point(subtree_top(space, path))
     while invariance_step() | closure_step():
         pass
     return out
@@ -559,17 +565,61 @@ def deep_locators():
     return out
 
 
-def test_point_sources_address_rule_matches_term_walk():
+def term_walk_backward_source(space, addr):
+    return dict(term_walk_point_sources(space, addr)).get("bwd")
+
+
+def test_backward_source_address_rule_matches_term_walk():
     seen = 0
     for sp, w in source_windows():
         for a in w.addrs:
-            assert point_sources(sp, a) == term_walk_point_sources(sp, a), a
+            assert backward_source(sp, a) == term_walk_backward_source(sp, a), a
             seen += 1
     assert seen > 70_000
     for term, locator in deep_locators():
         sp = build_ladder(term)
         a = sp.parse_locator(locator)
-        assert point_sources(sp, a) == term_walk_point_sources(sp, a), locator
+        assert backward_source(sp, a) == term_walk_backward_source(sp, a), locator
+
+
+def test_window_walk_records_the_term_walk_stubs():
+    # every limit point's stub, read off the walk, against the term-walk
+    # sources and last-member bases; an orbit point's stub is itself
+    limits = 0
+    for sp, w in source_windows():
+        assert set(w.stubs) == {a for a in w.addrs if a[-1][0] != "z"}
+        limits += len(w.stubs)
+        for a in w.addrs:
+            assert w.min_nbhd_w(a) == term_walk_min_nbhd(w, a), a
+    assert limits > 4_000
+
+
+def test_window_walk_records_the_term_walk_witnesses():
+    for sp, w in source_windows():
+        paths = strand_paths(w)
+        assert list(w.strands) == paths
+        for p in paths:
+            assert w.strands[p] == term_walk_strand_witnesses(w, p), p
+
+
+def test_audit_catches_a_wrong_backward_source(monkeypatch):
+    # the audit reads the stubs its own walk recorded, so a closed form that
+    # takes the sibling two indices below the point fails it
+    sets_mod = importlib.import_module("fixfactor.ladder.sets")
+    source = sets_mod.backward_source
+
+    def two_below(space, addr):
+        path = source(space, addr)
+        if not path:
+            return path
+        axis, m = path[-1]
+        return path[:-1] + ((axis, m - 1),) if m else None
+
+    monkeypatch.setattr(sets_mod, "backward_source", two_below)
+    for term in ("cat(strand)", "ramp", "cat(ramp)"):
+        sp = build_ladder(term)
+        rep = window_check(sp, window(sp, 3, 3), ladder_trace(sp, W2))
+        assert rep.violations, term
 
 
 def test_limit_point_is_the_forward_limit_family_top_and_backward_limit():
@@ -585,7 +635,7 @@ def test_limit_point_is_the_forward_limit_family_top_and_backward_limit():
                 elif kind == "bwd":
                     assert strand_targets(sp, path)[1] == a
                 else:
-                    assert sp.subtree_top(path) == a
+                    assert subtree_top(sp, path) == a
     assert limits > 4_000
 
 
