@@ -13,22 +13,27 @@ is on the frontier exactly when it has one) and its own top.  The
 window's size follows from the number of strands, so an oversized window
 is refused before the strand that crosses the cap is expanded.
 
-The audit recomputes base-degree orbits on the window by walking the
-truncation directly (minimal-neighborhood stubs at the frontier, the
-orbit with a frontier jump onto forward limits, closure driven by the
-recorded witnesses) and compares against the symbolic answers on
-non-frontier points, where no slack is allowed; it shares no source rule
-with the closed form.  Partition claims are audited for disjoint cover,
-forward invariance, monotone coarsening and agreement with the
-overlap-generated equivalence of the recomputed orbits.  One pass over
-the non-frontier points recomputes each orbit once, audits the claim
-against it and merges it into that equivalence at once; each point's
-image is computed once for all degrees.  The exported finite system puts
+The audit works on ids, the positions in ``addrs``, through an index
+built once per audited window.  It recomputes base-degree orbits on the
+truncation and compares them with the symbolic answers on non-frontier
+points, where no slack is allowed; it shares no source rule with the
+closed form.  Closure and orbit map unions to unions, so the orbit of x
+is the union over its minimal-neighborhood stub of F[y] = cl_w({y}) |
+F[phi_w(y)], phi_w jumping from the frontier onto the forward limit.
+One walk down each strand from z = +cut fills F.  At a limit point L, F
+is cl_w({L}), which the index keeps; at a strand end F outlives the walk
+only when a stub names it, elsewhere only while its strand is audited.
+Partition claims are audited for disjoint cover, forward invariance,
+monotone coarsening and agreement with the overlap-generated equivalence
+of the recomputed orbits.  One pass over the non-frontier points audits
+each claim against its orbit and merges the orbit into that equivalence
+at once; each point's image is found once for all degrees, and every
+check names what it finds in id order.  The exported finite system puts
 each limit point into the closure of every point of its
-minimal-neighborhood stub, the same stubs the audit uses, and freezes the
-map at the frontier so that it parses and validates; it is an audit
-artifact, not an input for the finite stabilization pipeline, which would
-collapse any truncation to degree 0.
+minimal-neighborhood stub, the same stubs the audit uses, and freezes
+the map at the frontier so that it parses and validates; it is an audit
+artifact, not an input for the finite stabilization pipeline, which
+would collapse any truncation to degree 0.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import CoverError, InternalError, SizeLimitError
-from ..ordinals import ZERO, OrdinalCNF
+from ..ordinals import ZERO
 from .space import Addr, LadderSpace, TOP, base_addr, child_term
 from .sets import SymbolicSet, ladder_aorb0_addr
 from .terms import LadderTerm
@@ -58,69 +63,47 @@ class Window:
     strands: dict[tuple, tuple[tuple[Addr, ...], Addr | None]]
 
     @cached_property
-    def addr_set(self) -> frozenset:
-        return frozenset(self.addrs)
-
-    @cached_property
-    def nonfrontier(self) -> frozenset:
-        """The points whose neighborhood and image data are complete."""
-        return self.addr_set - self.frontier
-
-    @cached_property
     def names(self) -> tuple[str, ...]:
         """The rendered name of each point, in ``addrs`` order."""
         return tuple(map(self.space.render, self.addrs))
 
-    # -- direct recomputation on the truncation -------------------------
+    @cached_property
+    def ids(self) -> dict[Addr, int]:
+        """The id of each point, its position in ``addrs``."""
+        return {a: i for i, a in enumerate(self.addrs)}
 
-    def phi_w(self, addr: Addr) -> Addr:
-        """True dynamics with a frontier jump onto the forward limit."""
-        if addr[-1][0] != "z":
-            return addr
-        nxt = self.space.phi(addr)
-        if nxt in self.addr_set:
-            return nxt
-        return addr[:-1] + (("A",),)
-
-    def orbit_w(self, seed: set[Addr]) -> set[Addr]:
-        out = set(seed)
-        frontier = list(seed)
-        while frontier:
-            nxt = self.phi_w(frontier.pop())
-            if nxt not in out:
-                out.add(nxt)
-                frontier.append(nxt)
-        return out
-
-    def closure_w(self, s: set[Addr]) -> set[Addr]:
-        """Add limit points witnessed by frontier membership."""
-        out = set(s)
-        work = list(s)
-        strands = self.strands
-        hi, lo = ("z", self.strand_cut), ("z", -self.strand_cut)
-        while work:
-            a = work.pop()
-            if a == TOP:
-                continue
-            p, last = a[:-1], a[-1]
-            cands, top = strands[p]
-            if last == hi:
-                cands += (p + (("A",),),)
-            elif last == lo and top is not None:
-                cands += (top,)
-            for c in cands:
-                if c not in out:
-                    out.add(c)
-                    work.append(c)
-        return out
-
-    def min_nbhd_w(self, addr: Addr) -> set[Addr]:
-        """Minimal-neighborhood stub: the point plus one frontier point
-        per convergence source."""
-        return {addr, *self.stubs.get(addr, ())}
-
-    def aorb0_w(self, addr: Addr) -> set[Addr]:
-        return self.closure_w(self.orbit_w(self.min_nbhd_w(addr)))
+    @cached_property
+    def index(self) -> tuple:
+        """The audit's view on ids: phi_w, the frontier flags, each id's
+        closure witnesses, each limit point's stub (itself included, in id
+        order) and cl_w({L}), and each strand path's ids of A, z = -cut and
+        z = +cut, which must be consecutive."""
+        addrs, c, ids = self.addrs, self.strand_cut, self.ids
+        phi = [ids.get(img, -1) for img in map(self.space.phi, addrs)]
+        frontier = bytearray(a in self.frontier for a in addrs)
+        witnesses = [()] * len(addrs)
+        spans = {}
+        for path, (held, top) in self.strands.items():
+            a = ids[path + (("A",),)]
+            lo, hi = a + 1, a + 2 * c + 1
+            # z = -cut at lo and each image at the next id put z = j at lo + cut + j
+            if addrs[lo] != path + (("z", -c),) or phi[lo:hi + 1] != [*range(lo + 1, hi + 1), -1]:
+                raise InternalError(f"strand {path} of {self.space.term} has no consecutive ids")
+            spans[path] = a, lo, hi
+            phi[hi] = a  # z = +cut leaves the window: the jump onto the forward limit
+            held = tuple(map(ids.__getitem__, held))
+            witnesses[a:hi + 1] = [held] * (2 * c + 2)
+            witnesses[hi] = held + (a,)
+            if top is not None:
+                witnesses[lo] = held + (ids[top],)
+        stubs = {ids[a]: tuple(sorted({ids[a], *map(ids.__getitem__, stub)}))
+                 for a, stub in self.stubs.items()}
+        # the limit points are the stubs' keys; a limit point's witnesses are
+        # tops of families around it, which follow it in address order
+        closures = {}
+        for i in sorted(stubs, reverse=True):
+            closures[i] = frozenset((i,)).union(*map(closures.__getitem__, witnesses[i]))
+        return phi, frontier, witnesses, stubs, closures, spans
 
     # -- export as a finite system --------------------------------------
 
@@ -232,161 +215,178 @@ class WindowCheckReport:
         }
 
 
-def _decode(sset: SymbolicSet, win: Window) -> set[Addr]:
-    out: set[Addr] = set()
-    for a in sset.pts:
-        if a in win.addr_set:
-            out.add(a)
-    j_cut = win.strand_cut
+def _decode(sset: SymbolicSet, win: Window) -> set[int]:
+    """The ids of the window points in a symbolic set."""
+    *_, spans = win.index
+    ids, c = win.ids, win.strand_cut
+    out = {i for a in sset.pts if (i := ids.get(a)) is not None}
     for path, prof in sset.strands.items():
-        for j in range(-j_cut, j_cut + 1):
-            if prof.contains(j):
-                a = path + (("z", j),)
-                if a in win.addr_set:
-                    out.add(a)
+        if (span := spans.get(path)) is not None:
+            _, lo, hi = span
+            out.update(range(lo if prof.start is None else lo + c + max(prof.start, -c),
+                             hi + 1))
     return out
 
 
-def check_orbit_set(win: Window, addr: Addr, claimed: SymbolicSet,
-                    report: WindowCheckReport) -> set[Addr]:
-    """Necessary-condition audit of one base-degree orbit claim; returns
-    the orbit recomputed on the window."""
-    space = win.space
+def base_orbits(win: Window, wanted: set[int]):
+    """Yield the base orbit on the window, as a set of ids, of each wanted
+    point in id order, walking F down only the strands that hold a wanted
+    point or a point a wanted stub names."""
+    phi, _, witnesses, stubs, closures, spans = win.index
+    top = win.ids[TOP]
+    named = {y for x in wanted for y in stubs.get(x, ())}
+    # the strands to walk, by their A's id; a strand point's address is its path and a step
+    heads = {spans[win.addrs[y][:-1]][0] for y in wanted | named if y != top}
+    kept = {}
 
-    def violation(what: str) -> None:
-        # the point is named only when there is something to report
-        report.violations.append(f"aorb0({space.render(addr)}): {what}")
+    def union_over(stub, near):
+        return frozenset().union(*(near.get(y) or kept.get(y) or closures[y]
+                                   for y in stub))
 
+    for a, lo, hi in spans.values():
+        if a not in heads:
+            continue
+        near = {a: closures[a]}
+        for y in range(hi, lo - 1, -1):
+            near[y] = near[phi[y]].union((y,), *map(closures.__getitem__, witnesses[y]))
+        for x in range(a, hi + 1):
+            if x in wanted:
+                yield x, union_over(stubs[x], near) if x == a else near[x]
+        kept.update((y, near[y]) for y in (lo, hi) if y in named)
+    if top in wanted:
+        yield top, union_over(stubs[top], {})
+
+
+def check_orbit_set(win: Window, x: int, claimed: SymbolicSet, orbit: frozenset,
+                    report: WindowCheckReport) -> None:
+    """Necessary-condition audit of the base-degree orbit claim of point x
+    against its orbit recomputed on the window, both as ids; each check
+    names the points it finds in id order."""
+    phi, frontier, witnesses, stubs, closures, _ = win.index
+    render, addrs = win.space.render, win.addrs
     decoded = _decode(claimed, win)
     report.checks_run += 1
-    if addr not in decoded:
-        violation("does not contain its own point")
-    # forward invariance with frontier slack
-    for a in decoded:
-        img = space.phi(a)
-        if img in win.addr_set and img not in decoded and a not in win.frontier:
-            violation(f"image of {space.render(a)} escapes the set")
-    # closedness: window closure may only add frontier points
-    extra = win.closure_w(decoded) - decoded
-    for a in extra:
-        if a not in win.frontier:
-            violation(f"closure violation at {space.render(a)}")
-    # neighborhood property
-    stub = win.min_nbhd_w(addr)
-    for a in stub:
-        if a not in decoded and a not in win.frontier:
-            violation(f"minimal neighborhood point {space.render(a)} missing")
-    # pointwise agreement with the direct recomputation off the frontier
-    recomputed = win.closure_w(win.orbit_w(stub))
-    for a in (recomputed ^ decoded) & win.nonfrontier:
-        violation(f"disagreement with window recomputation at {space.render(a)}")
-    return recomputed
+    closure = frozenset().union(*(closures[w] for a in decoded for w in witnesses[a]))
+    for what, found in (
+        ("does not contain its own point", () if x in decoded else (x,)),
+        # forward invariance with frontier slack
+        ("image of {} escapes the set",
+         [a for a in decoded if phi[a] not in decoded and not frontier[a]]),
+        # closedness: window closure may only add frontier points
+        ("closure violation at {}", [a for a in closure - decoded if not frontier[a]]),
+        # neighborhood property
+        ("minimal neighborhood point {} missing",
+         [a for a in stubs.get(x, (x,)) if a not in decoded and not frontier[a]]),
+        # pointwise agreement with the direct recomputation off the frontier
+        ("disagreement with window recomputation at {}",
+         [a for a in orbit ^ decoded if not frontier[a]]),
+    ):
+        for a in sorted(found):
+            report.violations.append(f"aorb0({render(addrs[x])}): "
+                                     f"{what.format(render(addrs[a]))}")
 
 
 def check_trace(win: Window, trace: LadderTrace,
-                report: WindowCheckReport) -> dict[Addr, tuple]:
+                report: WindowCheckReport) -> dict[int, int]:
     """Audit every degree of the trace on the window: classes are invariant
-    and never split an earlier merge off the frontier.  Returns the class
-    key at degree 0, the trace's first entry, of every non-frontier point
-    and of every in-window image of one.  The key walk trusts the window's
-    addresses, which ``window_check`` validates."""
+    and never split an earlier merge off the frontier.  Returns, by id, a
+    number for the degree-0 class of every non-frontier point and in-window
+    image of one.  The key walk trusts the addresses ``window_check`` validates."""
     space = win.space
     if not trace.entries or trace.entries[0][0] != ZERO:
         raise InternalError(f"the trace of {space.term} does not start at degree 0")
-    nonfrontier = [a for a in win.addrs if a not in win.frontier]
+    phi, frontier, *_ = win.index
+    addrs = win.addrs
+    nonfrontier = [i for i, edge in enumerate(frontier) if not edge]
     # the image does not depend on the degree, and a fixed point cannot
     # leave its class
-    moves = [(a, img) for a in nonfrontier
-             if (img := space.phi(a)) != a and img in win.addr_set]
-    # the checks read the keys of these points only
-    keyed = {*nonfrontier, *(img for _, img in moves)}
-    base_keys: dict[Addr, tuple] = {}
-    prev_keys: dict[Addr, tuple] | None = None
-    prev_degree: OrdinalCNF | None = None
+    moves = [(i, img) for i in nonfrontier if (img := phi[i]) != i]
+    # the checks read the keys of these points only, each at its place in
+    # the list of keyed points
+    keyed = sorted({*nonfrontier, *(img for _, img in moves)})
+    keyed_addrs = [addrs[i] for i in keyed]
+    at = {i: p for p, i in enumerate(keyed)}
+    moves = [(at[i], at[img]) for i, img in moves]
+    nonfrontier = [at[i] for i in nonfrontier]
+    base = prev = prev_degree = None
     for degree, part in trace.entries:
         report.checks_run += 1
-        keys = {a: part.key_of(a) for a in keyed}
+        # each key is hashed once, into the number of its class
+        numbers = {}
+        cls = [numbers.setdefault(k, len(numbers)) for k in map(part.key_of, keyed_addrs)]
         # disjoint cover is automatic for a key function; check invariance
-        for a, img in moves:
-            if keys[a] != keys[img]:
-                report.violations.append(
-                    f"degree {degree}: class of {space.render(a)} is not invariant"
-                )
-        if prev_keys is None:
-            base_keys = keys
+        for p, q in moves:
+            if cls[p] != cls[q]:
+                report.violations.append(f"degree {degree}: class of "
+                                         f"{space.render(keyed_addrs[p])} is not invariant")
+        if prev is None:
+            base = cls
         else:
-            merged_to: dict[tuple, tuple] = {}
-            for a in nonfrontier:
-                g = prev_keys[a]
-                if g in merged_to and merged_to[g] != keys[a]:
+            merged_to = {}
+            for p in nonfrontier:
+                if merged_to.setdefault(prev[p], cls[p]) != cls[p]:
                     report.violations.append(
                         f"degrees {prev_degree}->{degree}: class of "
-                        f"{space.render(a)} splits a previously merged class"
-                    )
+                        f"{space.render(keyed_addrs[p])} splits a previously merged class")
                     break
-                merged_to[g] = keys[a]
-        prev_keys, prev_degree = keys, degree
-    return base_keys
+        prev, prev_degree = cls, degree
+    return dict(zip(keyed, base))
 
 
 def window_check(space: LadderSpace, win: Window,
                  trace: LadderTrace) -> WindowCheckReport:
-    report = WindowCheckReport(str(space.term), (win.family_cut, win.strand_cut),
-                               0, [])
-    # validated once here, since the orbits and the key walk trust their
-    # addresses
+    report = WindowCheckReport(str(space.term), (win.family_cut, win.strand_cut), 0, [])
+    # validated once here: the index, the orbits and the key walk trust them
     for a in win.addrs:
         space.validate(a)
-    # One pass over the non-frontier points: each orbit is recomputed by
-    # its audit and unioned at once into the overlap equivalence, which
-    # keeps a root per point and an owner per covered point, not the orbit.
-    parent: dict[Addr, Addr] = {}
-    owner: dict[Addr, Addr] = {}
+    # One pass over the non-frontier points: each orbit is audited and
+    # unioned at once into the overlap equivalence, which keeps a root per
+    # point and an owner per covered point, not the orbit.
+    _, frontier, *_ = win.index
+    nonfrontier = [i for i, edge in enumerate(frontier) if not edge]
+    addrs = win.addrs
+    parent = list(range(len(addrs)))
+    owner = [-1] * len(addrs)
 
-    def find(a: Addr) -> Addr:
+    def find(a: int) -> int:
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    for addr in win.addrs:
-        if addr in win.frontier:
-            continue
-        parent[addr] = root = addr
-        orbit = check_orbit_set(win, addr, ladder_aorb0_addr(space, addr), report)
-        for x in orbit:
-            first = owner.setdefault(x, addr)
-            if first != addr:
-                other = find(first)
-                if other != root:
-                    parent[root] = other
-                    root = other
+    for x, orbit in base_orbits(win, set(nonfrontier)):
+        check_orbit_set(win, x, ladder_aorb0_addr(space, addrs[x]), orbit, report)
+        root = x
+        for e in orbit:
+            first = owner[e]
+            if first < 0:
+                owner[e] = x
+            elif (other := find(first)) != root:
+                parent[root] = root = other
     del owner
-    base_keys = check_trace(win, trace, report)
+    base = check_trace(win, trace, report)
     # degree 0 must agree with the overlap-generated equivalence off the
     # frontier: two labelings have the same blocks exactly when pairing
     # them is one-to-one
     report.checks_run += 1
-    pairs = {(find(a), base_keys[a]) for a in parent}
+    pairs = {(find(x), base[x]) for x in nonfrontier}
     if not len(pairs) == len({r for r, _ in pairs}) == len({k for _, k in pairs}):
-        report.violations.append(
-            "degree 0: window overlap equivalence disagrees with the "
-            "symbolic base partition"
-        )
+        report.violations.append("degree 0: window overlap equivalence disagrees "
+                                 "with the symbolic base partition")
     return report
 
 
 def window_answers_stable(space: LadderSpace, wins: list[Window]) -> list[str]:
     """Cross-window stability: answers restricted to the points every
     window sees cleanly must be identical across windows."""
-    problems = []
     smallest = min(wins, key=lambda w: (w.family_cut, w.strand_cut))
-    shared = [a for a in smallest.addrs if all(
-        a in w.addr_set and a not in w.frontier for w in wins
-    )]
+    shared = [a for a in smallest.addrs
+              if all(a in w.ids and a not in w.frontier for w in wins)]
     shared_set = set(shared)
-    for a in shared:
-        recomputed = [frozenset(w.aorb0_w(a) & shared_set) for w in wins]
-        if len(set(recomputed)) != 1:
-            problems.append(f"aorb0({space.render(a)}) unstable across windows")
-    return problems
+    answers = []
+    for w in wins:
+        # the orbits go back to addresses only at the shared points
+        answers.append({w.addrs[x]: shared_set.intersection(map(w.addrs.__getitem__, orbit))
+                        for x, orbit in base_orbits(w, {w.ids[a] for a in shared})})
+    return [f"aorb0({space.render(a)}) unstable across windows" for a in shared
+            if any(ans[a] != answers[0][a] for ans in answers)]

@@ -236,3 +236,111 @@ def four_branch_aorb0_addr(space, addr) -> SymbolicSet:
         else:
             out.pts.add(subtree_top(space, path))
     return out
+
+
+class ReferenceWindow:
+    """A window with the earlier per-point audit: address sets, and each
+    base orbit recomputed from its own stub by ``orbit_w`` and then
+    ``closure_w``.  Every other attribute is the window's own."""
+
+    def __init__(self, win):
+        self.win = win
+        self.addr_set = frozenset(win.addrs)
+        self.nonfrontier = self.addr_set - win.frontier
+        self.position = {a: i for i, a in enumerate(win.addrs)}
+
+    def __getattr__(self, name):
+        return getattr(self.win, name)
+
+    def phi_w(self, addr):
+        """True dynamics with a frontier jump onto the forward limit."""
+        if addr[-1][0] != "z":
+            return addr
+        nxt = self.space.phi(addr)
+        if nxt in self.addr_set:
+            return nxt
+        return addr[:-1] + (("A",),)
+
+    def orbit_w(self, seed: set) -> set:
+        out = set(seed)
+        frontier = list(seed)
+        while frontier:
+            nxt = self.phi_w(frontier.pop())
+            if nxt not in out:
+                out.add(nxt)
+                frontier.append(nxt)
+        return out
+
+    def closure_w(self, s: set) -> set:
+        """Add limit points witnessed by frontier membership."""
+        out = set(s)
+        work = list(s)
+        hi, lo = ("z", self.strand_cut), ("z", -self.strand_cut)
+        while work:
+            a = work.pop()
+            if a == TOP:
+                continue
+            p, last = a[:-1], a[-1]
+            cands, top = self.strands[p]
+            if last == hi:
+                cands += (p + (("A",),),)
+            elif last == lo and top is not None:
+                cands += (top,)
+            for c in cands:
+                if c not in out:
+                    out.add(c)
+                    work.append(c)
+        return out
+
+    def min_nbhd_w(self, addr) -> set:
+        """Minimal-neighborhood stub: the point plus one frontier point per
+        convergence source."""
+        return {addr, *self.stubs.get(addr, ())}
+
+    def aorb0_w(self, addr) -> set:
+        return self.closure_w(self.orbit_w(self.min_nbhd_w(addr)))
+
+    def decode(self, sset) -> set:
+        """The window points of a symbolic set, by a membership test of each
+        point of each strand it names."""
+        out = {a for a in sset.pts if a in self.addr_set}
+        for path, prof in sset.strands.items():
+            for j in range(-self.strand_cut, self.strand_cut + 1):
+                a = path + (("z", j),)
+                if prof.contains(j) and a in self.addr_set:
+                    out.add(a)
+        return out
+
+    def check_orbit_set(self, addr, claimed, violations: list) -> None:
+        """The earlier audit of one base orbit claim, each check naming the
+        points it finds in address order."""
+        render = self.space.render
+        decoded = self.decode(claimed)
+        recomputed = self.aorb0_w(addr)
+        for what, found in (
+            ("does not contain its own point", set() if addr in decoded else {addr}),
+            ("image of {} escapes the set",
+             {a for a in decoded if (img := self.space.phi(a)) in self.addr_set
+              and img not in decoded and a not in self.frontier}),
+            ("closure violation at {}", self.closure_w(decoded) - decoded - self.frontier),
+            ("minimal neighborhood point {} missing",
+             self.min_nbhd_w(addr) - decoded - self.frontier),
+            ("disagreement with window recomputation at {}",
+             (recomputed ^ decoded) & self.nonfrontier),
+        ):
+            for a in sorted(found, key=self.position.__getitem__):
+                violations.append(f"aorb0({render(addr)}): {what.format(render(a))}")
+
+
+def two_below(backward_source):
+    """A mutant of ``backward_source`` that takes the sibling two indices
+    below the point instead of one."""
+
+    def mutant(space, addr):
+        path = backward_source(space, addr)
+        if not path:
+            return path
+        axis, m = path[-1]
+        return path[:-1] + ((axis, m - 1),) if m else None
+
+    return mutant

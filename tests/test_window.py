@@ -1,6 +1,10 @@
 import dataclasses
 import importlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +17,7 @@ from fixfactor.ladder.terms import ramp_block_term, term_interior_merge, term_st
 from fixfactor.ladder.trace import LadderTrace, class_key
 from fixfactor.ladder.window import (
     WindowCheckReport,
-    _decode,
+    base_orbits,
     check_orbit_set,
     check_trace,
     window_answers_stable,
@@ -21,6 +25,7 @@ from fixfactor.ladder.window import (
 from fixfactor.ordinals import parse_ordinal
 from fixfactor.topology import build_space, is_discrete
 from references import (
+    ReferenceWindow,
     family_paths,
     four_branch_aorb0_addr,
     last_member,
@@ -31,6 +36,7 @@ from references import (
     term_walk_min_nbhd,
     term_walk_point_sources,
     term_walk_strand_witnesses,
+    two_below,
     window_export_pairs,
 )
 
@@ -85,15 +91,38 @@ def test_window_audit_zero_violations(term):
     assert rep.checks_run > 0
 
 
-def test_fault_injection_dropped_limit_point_detected():
+def orbit_of(w, addr):
+    """A point's id and its base orbit recomputed on the window."""
+    x = w.ids[addr]
+    return x, dict(base_orbits(w, {x}))[x]
+
+
+def reference_audit(w, claim) -> list[str]:
+    """The violations of the per-point audit of every non-frontier claim."""
+    ref, out = ReferenceWindow(w), []
+    for a in w.addrs:
+        if a not in w.frontier:
+            ref.check_orbit_set(a, claim(w.space, a), out)
+    return out
+
+
+def test_fault_injection_dropped_limit_point_detected(monkeypatch):
+    addr = (("copy", 1), ("A",))
+
+    def claim(space, a):
+        out = ladder_aorb0_addr(space, a).copy()
+        if a == addr:
+            out.pts.discard((("copy", 0), ("A",)))
+        return out
+
+    # the claims reach the audit through this binding
+    monkeypatch.setattr(window_mod, "ladder_aorb0_addr", claim)
     sp = build_ladder("cat(strand)")
     w = window(sp, 3, 3)
-    addr = (("copy", 1), ("A",))
-    bad = ladder_aorb0_addr(sp, addr).copy()
-    bad.pts.discard((("copy", 0), ("A",)))
-    rep = WindowCheckReport("cat(strand)", (3, 3), 0, [])
-    check_orbit_set(w, addr, bad, rep)
+    rep = window_check(sp, w, ladder_trace(sp, W2))
     assert any("closure violation" in v for v in rep.violations)
+    # the same violations as the per-point audit, in the same order
+    assert rep.violations == reference_audit(w, claim)
 
 
 def test_fault_injection_noninvariant_set_detected():
@@ -105,8 +134,9 @@ def test_fault_injection_noninvariant_set_detected():
     # invariant
     del bad.strands[(("copy", 1),)]
     bad.pts |= {(("copy", 1), ("z", 0)), (("copy", 1), ("z", 1))}
+    x, orbit = orbit_of(w, addr)
     rep = WindowCheckReport("cat(strand)", (3, 3), 0, [])
-    check_orbit_set(w, addr, bad, rep)
+    check_orbit_set(w, x, bad, orbit, rep)
     assert "aorb0(S:2:0): image of S:2:1 escapes the set" in rep.violations
 
 
@@ -155,10 +185,11 @@ def reference_frontier(w) -> frozenset:
     """The frontier by the direct scan: every address against the last
     member of every family."""
     frontier = set()
+    points = set(w.addrs)
     for p in strand_paths(w):
         for j in (-w.strand_cut, w.strand_cut):
             a = p + (("z", j),)
-            if a in w.addr_set:
+            if a in points:
                 frontier.add(a)
     for path in family_paths(w):
         last = last_member(w, path)
@@ -236,7 +267,8 @@ def test_fault_injection_split_strand_class_detected():
     w = window(sp, 3, 3)
     tr = ladder_trace(sp, W2)
     z0, z1 = (("copy", 1), ("z", 0)), (("copy", 1), ("z", 1))
-    assert z0 in w.nonfrontier and z1 in w.nonfrontier
+    ref = ReferenceWindow(w)
+    assert z0 in ref.nonfrontier and z1 in ref.nonfrontier
     (d0, p0), *rest = tr.entries
     bad = LadderTrace(sp, ((d0, SplitOnePoint(p0, z0)), *rest),
                       tr.stabilization_degree, tr.finite_degrees_truncated_at)
@@ -397,7 +429,7 @@ FAST_PATH_WINDOWS = [
 def test_key_walk_matches_reference_recursion(term, cuts):
     sp = build_ladder(term)
     w = window(sp, *cuts)
-    assert TOP in w.addr_set
+    assert TOP in w.addrs
     for degree, part in ladder_trace(sp, W2).entries:
         for a in w.addrs:
             assert part.key_of(a) == reference_key(sp, degree, a), (str(degree), a)
@@ -406,7 +438,7 @@ def test_key_walk_matches_reference_recursion(term, cuts):
 @pytest.mark.parametrize("term,cuts", FAST_PATH_WINDOWS)
 def test_closure_w_matches_reference_loop(term, cuts):
     sp = build_ladder(term)
-    w = window(sp, *cuts)
+    w = ReferenceWindow(window(sp, *cuts))
     rng = random.Random(f"{term}{cuts}")
     frontier = sorted(w.frontier)
     for _ in range(40):
@@ -525,11 +557,11 @@ def reference_aorb0_addr(space, addr) -> SymbolicSet:
 @pytest.mark.parametrize("term,cuts", FAST_PATH_WINDOWS[:-1])
 def test_aorb0_closed_form_matches_rule_table_fixpoint(term, cuts):
     sp = build_ladder(term)
-    w = window(sp, *cuts)
+    w = ReferenceWindow(window(sp, *cuts))
     for a in w.addrs:
         got, ref = ladder_aorb0_addr(sp, a), reference_aorb0_addr(sp, a)
         assert got.to_json() == ref.to_json(), (term, cuts, a)
-        assert _decode(got, w) == _decode(ref, w), (term, cuts, a)
+        assert w.decode(got) == w.decode(ref), (term, cuts, a)
 
 
 # every window of these terms under the point cap: the address rule for the
@@ -589,6 +621,7 @@ def test_window_walk_records_the_term_walk_stubs():
     for sp, w in source_windows():
         assert set(w.stubs) == {a for a in w.addrs if a[-1][0] != "z"}
         limits += len(w.stubs)
+        w = ReferenceWindow(w)
         for a in w.addrs:
             assert w.min_nbhd_w(a) == term_walk_min_nbhd(w, a), a
     assert limits > 4_000
@@ -596,6 +629,7 @@ def test_window_walk_records_the_term_walk_stubs():
 
 def test_window_walk_records_the_term_walk_witnesses():
     for sp, w in source_windows():
+        w = ReferenceWindow(w)
         paths = strand_paths(w)
         assert list(w.strands) == paths
         for p in paths:
@@ -604,22 +638,61 @@ def test_window_walk_records_the_term_walk_witnesses():
 
 def test_audit_catches_a_wrong_backward_source(monkeypatch):
     # the audit reads the stubs its own walk recorded, so a closed form that
-    # takes the sibling two indices below the point fails it
+    # takes the sibling two indices below the point fails it, with the same
+    # violations in the same order as the per-point audit; at (5,6) a set of
+    # ids no longer iterates in id order by chance
     sets_mod = importlib.import_module("fixfactor.ladder.sets")
-    source = sets_mod.backward_source
-
-    def two_below(space, addr):
-        path = source(space, addr)
-        if not path:
-            return path
-        axis, m = path[-1]
-        return path[:-1] + ((axis, m - 1),) if m else None
-
-    monkeypatch.setattr(sets_mod, "backward_source", two_below)
+    monkeypatch.setattr(sets_mod, "backward_source", two_below(sets_mod.backward_source))
     for term in ("cat(strand)", "ramp", "cat(ramp)"):
         sp = build_ladder(term)
-        rep = window_check(sp, window(sp, 3, 3), ladder_trace(sp, W2))
-        assert rep.violations, term
+        for cuts in ((3, 3), (5, 6)):
+            w = window(sp, *cuts)
+            rep = window_check(sp, w, ladder_trace(sp, W2))
+            assert rep.violations, term
+            assert rep.violations == reference_audit(w, ladder_aorb0_addr), (term, cuts)
+
+
+def test_base_orbits_match_the_per_point_recomputation():
+    # the recurrence along phi_w against orbit_w and then closure_w of each
+    # point's own stub, off the frontier, where the audit reads it, and on
+    # the frontier of the smaller windows, where only stubs and witnesses do
+    points = 0
+    for sp, w in source_windows():
+        ref = ReferenceWindow(w)
+        every = [set(range(len(w.addrs)))] if len(w.addrs) < 2_000 else []
+        for wanted in ({w.ids[a] for a in ref.nonfrontier}, *every):
+            got = list(base_orbits(w, wanted))
+            assert [x for x, _ in got] == sorted(wanted)
+            for x, orbit in got:
+                assert {w.addrs[i] for i in orbit} == ref.aorb0_w(w.addrs[x]), w.addrs[x]
+        points += len(ref.nonfrontier)
+    assert points > 30_000
+
+
+AUDIT_UNDER_MUTANT = """
+import importlib
+from fixfactor.ladder import build_ladder, ladder_trace, window, window_check
+from fixfactor.ordinals import parse_ordinal
+from references import two_below
+sets_mod = importlib.import_module("fixfactor.ladder.sets")
+sets_mod.backward_source = two_below(sets_mod.backward_source)
+sp = build_ladder("cat(ramp)")
+rep = window_check(sp, window(sp, 3, 3), ladder_trace(sp, parse_ordinal("w*2")))
+print("\\n".join(rep.violations))
+"""
+
+
+def test_failing_audit_does_not_depend_on_the_hash_seed():
+    src = Path(importlib.import_module("fixfactor").__file__).parents[1]
+    tests = Path(__file__).parent
+    outs = []
+    for seed in ("0", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
+        outs.append(subprocess.run([sys.executable, "-c", AUDIT_UNDER_MUTANT], env=env,
+                                   capture_output=True, check=True).stdout)
+    assert outs[0].count(b"\n") == 31
+    assert outs[0] == outs[1]
 
 
 def test_limit_point_is_the_forward_limit_family_top_and_backward_limit():
