@@ -14,26 +14,29 @@ window's size follows from the number of strands, so an oversized window
 is refused before the strand that crosses the cap is expanded.
 
 The audit works on ids, the positions in ``addrs``, through an index
-built once per audited window.  It recomputes base-degree orbits on the
-truncation and compares them with the symbolic answers on non-frontier
-points, where no slack is allowed; it shares no source rule with the
-closed form.  Closure and orbit map unions to unions, so the orbit of x
-is the union over its minimal-neighborhood stub of F[y] = cl_w({y}) |
-F[phi_w(y)], phi_w jumping from the frontier onto the forward limit.
-One walk down each strand from z = +cut fills F.  At a limit point L, F
-is cl_w({L}), which the index keeps; at a strand end F outlives the walk
-only when a stub names it, elsewhere only while its strand is audited.
-Partition claims are audited for disjoint cover, forward invariance,
-monotone coarsening and agreement with the overlap-generated equivalence
-of the recomputed orbits.  One pass over the non-frontier points audits
-each claim against its orbit and merges the orbit into that equivalence
-at once; each point's image is found once for all degrees, and every
-check names what it finds in id order.  The exported finite system puts
-each limit point into the closure of every point of its
-minimal-neighborhood stub, the same stubs the audit uses, and freezes
-the map at the frontier so that it parses and validates; it is an audit
-artifact, not an input for the finite stabilization pipeline, which
-would collapse any truncation to degree 0.
+built once per audited window, which proves that each strand's ids are
+its A and then z = -cut ... +cut in order, so validating the A validates
+the strand.  It recomputes base-degree orbits on the truncation and
+compares them with the symbolic answers on non-frontier points, where no
+slack is allowed; it shares no source rule with the closed form.
+Closure and orbit map unions to unions, so the orbit of x is the union
+over its minimal-neighborhood stub of F[y] = cl_w({y}) | F[phi_w(y)],
+phi_w jumping from the frontier onto the forward limit.  One walk down
+each strand from z = +cut fills F.  At a limit point L, F is cl_w({L}),
+which the index keeps; at a strand end F outlives the walk only when a
+stub names it, elsewhere only while its strand is audited.  Partition
+claims are audited for disjoint cover, forward invariance, monotone
+coarsening and agreement with the overlap-generated equivalence of the
+recomputed orbits.  One pass over the non-frontier points audits each
+claim against its orbit and merges the orbit into that equivalence at
+once.  Only degree 0 of the trace is keyed point by point: a strand node
+is merged at every degree, so a strand's points share its key, and later
+degrees key each strand once.  Every check names what it finds in id
+order.  The exported finite system puts each limit point into the
+closure of every point of its minimal-neighborhood stub, the same stubs
+the audit uses, and freezes the map at the frontier so that it parses
+and validates; it is an audit artifact, not an input for the finite
+stabilization pipeline, which would collapse any truncation to degree 0.
 """
 
 from __future__ import annotations
@@ -104,6 +107,14 @@ class Window:
         for i in sorted(stubs, reverse=True):
             closures[i] = frozenset((i,)).union(*map(closures.__getitem__, witnesses[i]))
         return phi, frontier, witnesses, stubs, closures, spans
+
+    @cached_property
+    def heads(self) -> list[int]:
+        """Each id's strand, by the id of its A; an id off the strands is its own."""
+        heads = list(range(len(self.addrs)))
+        for a, _, hi in self.index[-1].values():
+            heads[a:hi + 1] = [a] * (hi + 1 - a)
+        return heads
 
     # -- export as a finite system --------------------------------------
 
@@ -289,56 +300,58 @@ def check_orbit_set(win: Window, x: int, claimed: SymbolicSet, orbit: frozenset,
 def check_trace(win: Window, trace: LadderTrace,
                 report: WindowCheckReport) -> dict[int, int]:
     """Audit every degree of the trace on the window: classes are invariant
-    and never split an earlier merge off the frontier.  Returns, by id, a
-    number for the degree-0 class of every non-frontier point and in-window
-    image of one.  The key walk trusts the addresses ``window_check`` validates."""
+    and never split an earlier merge off the frontier.  A strand node is
+    merged at every degree, so ``key_of`` stops before the last step and a
+    strand's points share its key: degree 0 is keyed point by point, and
+    each later degree once per strand, where invariance cannot fail and the
+    merge check names a strand by its first non-frontier point.  Returns,
+    by id, a number for the degree-0 class of every non-frontier point and
+    in-window image of one; the key walk trusts what ``window_check`` validates."""
     space = win.space
     if not trace.entries or trace.entries[0][0] != ZERO:
         raise InternalError(f"the trace of {space.term} does not start at degree 0")
     phi, frontier, *_ = win.index
-    addrs = win.addrs
+    addrs, heads = win.addrs, win.heads
     nonfrontier = [i for i, edge in enumerate(frontier) if not edge]
     # the image does not depend on the degree, and a fixed point cannot
     # leave its class
     moves = [(i, img) for i in nonfrontier if (img := phi[i]) != i]
-    # the checks read the keys of these points only, each at its place in
-    # the list of keyed points
-    keyed = sorted({*nonfrontier, *(img for _, img in moves)})
-    keyed_addrs = [addrs[i] for i in keyed]
-    at = {i: p for p, i in enumerate(keyed)}
-    moves = [(at[i], at[img]) for i, img in moves]
-    nonfrontier = [at[i] for i in nonfrontier]
-    base = prev = prev_degree = None
-    for degree, part in trace.entries:
-        report.checks_run += 1
-        # each key is hashed once, into the number of its class
-        numbers = {}
-        cls = [numbers.setdefault(k, len(numbers)) for k in map(part.key_of, keyed_addrs)]
-        # disjoint cover is automatic for a key function; check invariance
-        for p, q in moves:
-            if cls[p] != cls[q]:
-                report.violations.append(f"degree {degree}: class of "
-                                         f"{space.render(keyed_addrs[p])} is not invariant")
-        if prev is None:
-            base = cls
-        else:
-            merged_to = {}
-            for p in nonfrontier:
-                if merged_to.setdefault(prev[p], cls[p]) != cls[p]:
-                    report.violations.append(
-                        f"degrees {prev_degree}->{degree}: class of "
-                        f"{space.render(keyed_addrs[p])} splits a previously merged class")
-                    break
-        prev, prev_degree = cls, degree
-    return dict(zip(keyed, base))
+    degree, part = trace.entries[0]
+    report.checks_run += len(trace.entries)
+    # each key is hashed once, into the number of its class; the checks
+    # read the keys of these points only
+    numbers = {}
+    base = {i: numbers.setdefault(part.key_of(addrs[i]), len(numbers))
+            for i in sorted({*nonfrontier, *(img for _, img in moves)})}
+    # disjoint cover is automatic for a key function; check invariance
+    for i, img in moves:
+        if base[i] != base[img]:
+            report.violations.append(f"degree {degree}: class of "
+                                     f"{space.render(addrs[i])} is not invariant")
+    # each strand, by its A's id, and its first non-frontier point
+    first = {}
+    for i in nonfrontier:
+        first.setdefault(heads[i], addrs[i])
+    # the merge check's units (earlier class, strand, name): points, then strands
+    prev, units = base, [(i, heads[i], addrs[i]) for i in nonfrontier]
+    for (prev_degree, _), (degree, part) in zip(trace.entries, trace.entries[1:]):
+        cls = {h: part.key_of(a) for h, a in first.items()}
+        merged_to = {}
+        for p, h, a in units:
+            if merged_to.setdefault(prev[p], cls[h]) != cls[h]:
+                report.violations.append(f"degrees {prev_degree}->{degree}: class of "
+                                         f"{space.render(a)} splits a previously merged class")
+                break
+        prev, units = cls, [(h, h, a) for h, a in first.items()]
+    return base
 
 
 def window_check(space: LadderSpace, win: Window,
                  trace: LadderTrace) -> WindowCheckReport:
     report = WindowCheckReport(str(space.term), (win.family_cut, win.strand_cut), 0, [])
-    # validated once here: the index, the orbits and the key walk trust them
-    for a in win.addrs:
-        space.validate(a)
+    # validated once here, per strand, since the orbits and key walk trust them
+    for i in sorted(set(win.heads)):
+        space.validate(win.addrs[i])
     # One pass over the non-frontier points: each orbit is audited and
     # unioned at once into the overlap equivalence, which keeps a root per
     # point and an owner per covered point, not the orbit.

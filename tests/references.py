@@ -2,9 +2,10 @@
 references for the code that replaced them."""
 
 from fixfactor.decomposition import Partition
-from fixfactor.errors import SizeLimitError
+from fixfactor.errors import InternalError, SizeLimitError
 from fixfactor.ladder.sets import StrandProfile, SymbolicSet
 from fixfactor.ladder.space import TOP, base_addr, child_term
+from fixfactor.ordinals import ZERO
 from fixfactor.topology import _iter_bits
 
 
@@ -344,3 +345,41 @@ def two_below(backward_source):
         return path[:-1] + ((axis, m - 1),) if m else None
 
     return mutant
+
+
+def per_point_check_trace(win, trace, report) -> dict[int, int]:
+    """The earlier trace audit, which keys every keyed point at every degree
+    and checks invariance and the merge order point by point."""
+    space = win.space
+    if not trace.entries or trace.entries[0][0] != ZERO:
+        raise InternalError(f"the trace of {space.term} does not start at degree 0")
+    phi, frontier, *_ = win.index
+    addrs = win.addrs
+    nonfrontier = [i for i, edge in enumerate(frontier) if not edge]
+    moves = [(i, img) for i in nonfrontier if (img := phi[i]) != i]
+    keyed = sorted({*nonfrontier, *(img for _, img in moves)})
+    keyed_addrs = [addrs[i] for i in keyed]
+    at = {i: p for p, i in enumerate(keyed)}
+    moves = [(at[i], at[img]) for i, img in moves]
+    nonfrontier = [at[i] for i in nonfrontier]
+    base = prev = prev_degree = None
+    for degree, part in trace.entries:
+        report.checks_run += 1
+        numbers = {}
+        cls = [numbers.setdefault(k, len(numbers)) for k in map(part.key_of, keyed_addrs)]
+        for p, q in moves:
+            if cls[p] != cls[q]:
+                report.violations.append(f"degree {degree}: class of "
+                                         f"{space.render(keyed_addrs[p])} is not invariant")
+        if prev is None:
+            base = cls
+        else:
+            merged_to = {}
+            for p in nonfrontier:
+                if merged_to.setdefault(prev[p], cls[p]) != cls[p]:
+                    report.violations.append(
+                        f"degrees {prev_degree}->{degree}: class of "
+                        f"{space.render(keyed_addrs[p])} splits a previously merged class")
+                    break
+        prev, prev_degree = cls, degree
+    return dict(zip(keyed, base))

@@ -14,7 +14,7 @@ from fixfactor.ladder import build_ladder, ladder_trace, window, window_check
 from fixfactor.ladder.sets import SymbolicSet, backward_source, ladder_aorb0_addr
 from fixfactor.ladder.space import TOP, child_term
 from fixfactor.ladder.terms import ramp_block_term, term_interior_merge, term_stab
-from fixfactor.ladder.trace import LadderTrace, class_key
+from fixfactor.ladder.trace import LadderTrace, SymPartition, class_key
 from fixfactor.ladder.window import (
     WindowCheckReport,
     base_orbits,
@@ -29,6 +29,7 @@ from references import (
     family_paths,
     four_branch_aorb0_addr,
     last_member,
+    per_point_check_trace,
     strand_paths,
     strand_targets,
     subtree_top,
@@ -252,6 +253,14 @@ def test_frontier_and_size_match_direct_scans(term, cuts):
     assert list(w.strands) == strand_paths(w)
 
 
+def with_entry(tr, n, part) -> LadderTrace:
+    """The trace with the partition of its n-th degree replaced."""
+    entries = list(tr.entries)
+    entries[n] = entries[n][0], part
+    return LadderTrace(tr.space, tuple(entries), tr.stabilization_degree,
+                       tr.finite_degrees_truncated_at)
+
+
 class SplitOnePoint:
     """A partition that gives one point a class of its own."""
 
@@ -269,9 +278,7 @@ def test_fault_injection_split_strand_class_detected():
     z0, z1 = (("copy", 1), ("z", 0)), (("copy", 1), ("z", 1))
     ref = ReferenceWindow(w)
     assert z0 in ref.nonfrontier and z1 in ref.nonfrontier
-    (d0, p0), *rest = tr.entries
-    bad = LadderTrace(sp, ((d0, SplitOnePoint(p0, z0)), *rest),
-                      tr.stabilization_degree, tr.finite_degrees_truncated_at)
+    bad = with_entry(tr, 0, SplitOnePoint(tr.entries[0][1], z0))
     rep = WindowCheckReport("cat(strand)", (3, 3), 0, [])
     check_trace(w, bad, rep)
     assert any("S:2:0 is not invariant" in v for v in rep.violations)
@@ -310,9 +317,7 @@ def test_fault_injection_base_partition_detected(make_bad):
     sp = build_ladder("cat(strand)")
     w = window(sp, 3, 3)
     tr = ladder_trace(sp, W2)
-    (d0, p0), *rest = tr.entries
-    bad = LadderTrace(sp, ((d0, make_bad(p0)), *rest),
-                      tr.stabilization_degree, tr.finite_degrees_truncated_at)
+    bad = with_entry(tr, 0, make_bad(tr.entries[0][1]))
     rep = window_check(sp, w, trace=bad)
     assert ("degree 0: window overlap equivalence disagrees with the "
             "symbolic base partition") in rep.violations
@@ -364,6 +369,109 @@ def test_window_check_validates_every_window_address():
     bad_w = dataclasses.replace(w, addrs=w.addrs + (bad,))
     with pytest.raises(LocatorError):
         window_check(sp, bad_w, ladder_trace(sp, W2))
+
+
+def test_window_check_refuses_an_invalid_strand_path():
+    # a walk mutant's strand whose path is not a node of the term, laid out
+    # as the walk lays out a strand: its A, then z = -cut ... +cut
+    sp = build_ladder("ramp")
+    w = window(sp, 3, 3)
+    assert w.addrs[-1] == TOP
+    path = (("copy", 0),)
+    stray = (path + (("A",),), *(path + (("z", j),) for j in range(-3, 4)))
+    bad_w = dataclasses.replace(w, addrs=w.addrs[:-1] + stray + (TOP,),
+                                frontier=w.frontier | {stray[1], stray[-1]},
+                                strands={**w.strands, path: ((), None)})
+    # the index takes it for a strand, so only validation can refuse it
+    n = len(w.addrs) - 1
+    assert bad_w.index[-1][path] == (n, n + 1, n + 7)
+    with pytest.raises(LocatorError):
+        window_check(sp, bad_w, ladder_trace(sp, W2))
+
+
+class SplitStrand:
+    """A partition that gives the points of one strand a class of their own."""
+
+    def __init__(self, part, path):
+        self.part, self.path = part, path
+
+    def key_of(self, a):
+        return ("split",) if a != TOP and a[:-1] == self.path else self.part.key_of(a)
+
+
+def test_fault_injection_strand_split_detected():
+    sp = build_ladder("cat(cat(strand))")
+    w = window(sp, 3, 3)
+    tr = ladder_trace(sp, W2)
+    bad = with_entry(tr, 1, SplitStrand(tr.entries[1][1], (("copy", 0), ("copy", 0))))
+    rep = WindowCheckReport("cat(cat(strand))", (3, 3), 0, [])
+    check_trace(w, bad, rep)
+    assert rep.violations == [
+        "degrees 0->1: class of K0/c:1 splits a previously merged class"]
+    assert rep.checks_run == len(tr.entries)
+
+
+# the criterion-6 windows, the benchmark's window audits, and terms with
+# several finite degrees and no ramp
+AUDIT_WINDOWS = [
+    *((t, c) for t in ("strand", "cat(strand)", "ramp", "cat(ramp)")
+      for c in ((3, 3), (5, 6), (7, 7), (8, 8))),
+    *((t, c) for t in ("cat(cat(strand))", "cat(cat(cat(strand)))")
+      for c in ((3, 3), (5, 6))),
+]
+
+
+def assert_strand_points_share_the_strand_key(term, cuts):
+    # the fact the per-strand audit rests on: key_of stops before the last
+    # step, so every point of a strand has the key of its A at every degree
+    sp = build_ladder(term)
+    w = window(sp, *cuts)
+    for degree, part in ladder_trace(sp, W2).entries:
+        for a in w.addrs:
+            if a != TOP:
+                assert part.key_of(a) == part.key_of(a[:-1] + (("A",),)), (str(degree), a)
+
+
+@pytest.mark.parametrize("term,cuts", AUDIT_WINDOWS)
+def test_strand_points_share_the_strand_key(term, cuts):
+    assert_strand_points_share_the_strand_key(term, cuts)
+
+
+def test_strand_key_test_catches_a_key_walk_that_reads_the_last_step(monkeypatch):
+    key_of = SymPartition.key_of
+
+    def reads_last_step(self, a):
+        key = key_of(self, a)
+        return key + (a[-1],) if a[-1][0] == "z" and a[-1][1] > 0 else key
+
+    monkeypatch.setattr(SymPartition, "key_of", reads_last_step)
+    for term, cuts in AUDIT_WINDOWS:
+        with pytest.raises(AssertionError):
+            assert_strand_points_share_the_strand_key(term, cuts)
+
+
+@pytest.mark.parametrize("term,cuts", AUDIT_WINDOWS)
+def test_check_trace_matches_the_per_point_audit(term, cuts):
+    sp = build_ladder(term)
+    w = window(sp, *cuts)
+    tr = ladder_trace(sp, W2)
+    (_, p0), *_ = tr.entries
+    # an orbit point off the frontier, and its strand
+    z = next(a for a in w.addrs if a[-1] == ("z", 0))
+    assert z not in w.frontier
+    bads = [tr, with_entry(tr, 0, OneClass()), with_entry(tr, 0, SplitOnePoint(p0, z)),
+            with_entry(tr, 0, MoveOnePoint(p0, z, TOP))]
+    # a strand split at degree 2 reaches the merge check over strands
+    bads += [with_entry(tr, n, SplitStrand(tr.entries[n][1], z[:-1]))
+             for n in (1, 2) if n < len(tr.entries)]
+    found = []
+    for bad in bads:
+        got = WindowCheckReport(term, cuts, 0, [])
+        ref = WindowCheckReport(term, cuts, 0, [])
+        assert check_trace(w, bad, got) == per_point_check_trace(w, bad, ref)
+        assert got == ref
+        found.append(got.violations)
+    assert not found[0] and all(found[4:])
 
 
 def reference_key(space, degree, addr) -> tuple:
