@@ -31,6 +31,7 @@ from .decomposition import (
     QuotientResult,
     aorb0_masks,
     aorb_succ_mask,
+    class_invariant,
     generated_partition,
     oracle_partition,
     prolongation_D1,
@@ -379,7 +380,7 @@ def check_level_set_refinement(a: Analysis) -> str | None:
 def check_class_invariance(a: Analysis) -> str | None:
     for _, p in a.trace.entries:
         for m in p.classes:
-            if a.sys.map.image_mask(m) & ~m:
+            if not class_invariant(a.sys, m):
                 return f"class {a.sys.space.names(m)} is not forward-invariant"
     return None
 

@@ -262,9 +262,15 @@ def sorb_closure(sys: FiniteSystem, p: Partition, u: PointSet) -> PointSet:
     return PointSet(sys.space, sorb_closure_mask(sys.space, p, u.mask))
 
 
-def aorb_succ_mask(sys: FiniteSystem, p: Partition, i: int) -> int:
+def succ_mask(sys: FiniteSystem, p: Partition, seed: int) -> int:
+    """The finite successor step from a seed mask: the least closed
+    P-saturated superset of its least open P-saturated superset."""
     space = sys.space
-    return sorb_closure_mask(space, p, min_saturated_open_mask(space, p, 1 << i))
+    return sorb_closure_mask(space, p, min_saturated_open_mask(space, p, seed))
+
+
+def aorb_succ_mask(sys: FiniteSystem, p: Partition, i: int) -> int:
+    return succ_mask(sys, p, 1 << i)
 
 
 def aorb_succ(sys: FiniteSystem, p: Partition, x: str) -> PointSet:
@@ -324,6 +330,13 @@ def class_invariant(sys: FiniteSystem, mask: int) -> bool:
     return sys.map.image_mask(mask) & ~mask == 0
 
 
+def _require_invariant_classes(sys: FiniteSystem, p: Partition) -> None:
+    for m in p.classes:
+        if not class_invariant(sys, m):
+            raise InvarianceError(
+                f"class {sys.space.names(m)} is not forward-invariant")
+
+
 def degree_step(sys: FiniteSystem, p: Partition) -> Partition:
     """One successor step: regenerate the equivalence from degree-(d+1) orbits.
 
@@ -332,11 +345,7 @@ def degree_step(sys: FiniteSystem, p: Partition) -> Partition:
     once per class, from the least member, which makes the step cost one
     orbit per class instead of one per point.
     """
-    for m in p.classes:
-        if not class_invariant(sys, m):
-            raise InvarianceError(
-                f"class {sys.space.names(m)} is not forward-invariant"
-            )
+    _require_invariant_classes(sys, p)
     orbits = [aorb_succ_mask(sys, p, (m & -m).bit_length() - 1) for m in p.classes]
     return generated_partition(sys.space, [orbits[c] for c in p.class_of])
 
@@ -414,12 +423,8 @@ def quotient(sys: FiniteSystem, p: Partition) -> QuotientResult:
     specialization, which presents the quotient topology; the induced map
     is well-defined because classes are forward-invariant.
     """
+    _require_invariant_classes(sys, p)
     space = sys.space
-    for m in p.classes:
-        if not class_invariant(sys, m):
-            raise InvarianceError(
-                f"class {space.names(m)} is not forward-invariant"
-            )
     k = p.num_classes
     reps = []
     for m in p.classes:

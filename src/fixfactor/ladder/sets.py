@@ -17,10 +17,16 @@ read off the point's address.  A backward-tail source forces the whole
 strand (its orbit) and both of the strand's limits (its closure), its
 ``A`` and the point.  The union of these is already closed and invariant:
 limit points are fixed, and every strand it holds carries its limits.
+
+A locator whose last index is the generic ``m`` is answered at two
+concrete indices, and the answer is read off the two renderings: a number
+that moves with the index by exactly one is generic and is written
+relative to m, every other character must agree.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 
@@ -61,21 +67,14 @@ class SymbolicSet:
 
     # -- rendering -----------------------------------------------------------
 
-    def components(self) -> list[tuple[Addr, dict]]:
-        """Rendered components, each with the point or strand path it names."""
-        space = self.space
-        comps = []
-        for a in sorted(self.pts):
-            comps.append((a, {"kind": "point", "at": space.render(a)}))
-        for path, prof in sorted(self.strands.items()):
-            rep = space.render(path + (("z", 0),))
-            region = rep.rsplit(":", 1)[0]
-            comps.append((path, {"kind": "strand", "region": region,
-                                 "profile": prof.label()}))
-        return comps
-
     def to_json(self) -> dict:
-        return {"components": [comp for _, comp in self.components()]}
+        """The points, then the strands, each in address order."""
+        space = self.space
+        comps = [{"kind": "point", "at": space.render(a)} for a in sorted(self.pts)]
+        for path, prof in sorted(self.strands.items()):
+            region = space.render(path + (("z", 0),)).rsplit(":", 1)[0]
+            comps.append({"kind": "strand", "region": region, "profile": prof.label()})
+        return {"components": comps}
 
 
 def backward_source(space: LadderSpace, addr: Addr) -> tuple | None:
@@ -121,10 +120,8 @@ def ladder_aorb0_addr(space: LadderSpace, addr: Addr) -> SymbolicSet:
 
 @dataclass(frozen=True)
 class GenericOrbit:
-    """Shift-verified result of a generic-index orbit query."""
+    """The answer to a generic-index query, rendered relative to m."""
 
-    representative: int
-    result: SymbolicSet
     rendered: dict
 
     def to_json(self) -> dict:
@@ -134,26 +131,42 @@ class GenericOrbit:
 def ladder_aorb0(space: LadderSpace, locator: str):
     """Base-degree orbit for a locator; supports one generic index 'm'.
 
-    Generic queries are evaluated at two concrete indices and checked to
-    be index shifts of each other before reporting in terms of m.  Only
-    the address position where the two instances differ shifts, and only
-    under the locator's own prefix; when that position is an orbit index,
-    the profile of the locator's own strand shifts with it.
+    A generic locator is answered at m = 4 and m = 5, and both answers are
+    rendered.  They must be the same text except for numbers that are
+    exactly one higher in the second; those are the generic ones, and the
+    answer at 4 is reported with each of them written relative to m (3
+    reads m-1).  Any other difference refuses the query.
     """
     text = locator.strip()
-    if _has_generic(text):
-        rep = 4
-        la = space.parse_locator(_subst(text, rep))
-        lb = space.parse_locator(_subst(text, rep + 1))
-        pos = next(i for i, (x, y) in enumerate(zip(la, lb)) if x != y)
-        a = ladder_aorb0_addr(space, la)
-        b = ladder_aorb0_addr(space, lb)
-        if _shift_key(a, la, pos) != _shift_key(b, lb, pos):
-            raise LocatorError(
-                f"result for {locator!r} is not uniform in the generic index"
-            )
-        return GenericOrbit(rep, a, _generic_json(a, la, pos))
-    return ladder_aorb0_addr(space, space.parse_locator(text))
+    if not _has_generic(text):
+        return ladder_aorb0_addr(space, space.parse_locator(text))
+    a, b = (json.dumps(ladder_aorb0_addr(space, space.parse_locator(_subst(text, m)))
+                       .to_json()["components"]) for m in (4, 5))
+    comps = _relative_to_m(a, b)
+    if comps is None:
+        raise LocatorError(
+            f"result for {locator!r} is not uniform in the generic index"
+        )
+    return GenericOrbit({"components": comps, "generic_index": "m"})
+
+
+_NUMBER = re.compile(r"(-?\d+)")
+
+
+def _relative_to_m(a: str, b: str) -> list | None:
+    """The components rendered in ``a``, the answer at m = 4, with each
+    number that is one higher in ``b``, the answer at m = 5, written
+    relative to m; None unless that is the only difference between them."""
+    ta, tb = _NUMBER.split(a), _NUMBER.split(b)  # literal runs at even places
+    if ta[::2] != tb[::2]:
+        return None
+    for i in range(1, len(ta), 2):
+        x, step = int(ta[i]), int(tb[i]) - int(ta[i])
+        if step == 1:
+            ta[i] = f"m{x - 4:+d}" if x != 4 else "m"
+        elif step:
+            return None
+    return json.loads("".join(ta))
 
 
 def _has_generic(text: str) -> bool:
@@ -164,68 +177,3 @@ def _has_generic(text: str) -> bool:
 def _subst(text: str, value: int) -> str:
     head, sep, _ = text.rpartition(":")
     return f"{head}{sep}{value}"
-
-
-def _offset_token(m: int, rep: int) -> str:
-    d = m - rep
-    if d == 0:
-        return "m"
-    return f"m{d:+d}"
-
-
-def _is_generic(a: Addr, loc: Addr, pos: int) -> bool:
-    """True if a's step at pos is the locator's generic index: the same
-    kind of step, under the same prefix."""
-    return len(a) > pos and a[pos][0] == loc[pos][0] and a[:pos] == loc[:pos]
-
-
-def _shift_key(s: SymbolicSet, loc: Addr, pos: int) -> tuple:
-    """The set with the generic index written relative to the locator's."""
-    v = loc[pos][1]
-
-    def shift_addr(a: Addr) -> Addr:
-        if not _is_generic(a, loc, pos):
-            return a
-        return a[:pos] + ((a[pos][0], a[pos][1] - v),) + a[pos + 1:]
-
-    def shift_profile(path: tuple, prof: StrandProfile) -> StrandProfile:
-        if path != loc[:pos] or loc[pos][0] != "z" or prof.start is None:
-            return prof
-        return StrandProfile(prof.start - v)
-
-    return (
-        tuple(sorted(shift_addr(a) for a in s.pts)),
-        tuple(sorted((shift_addr(p), shift_profile(p, v))
-                     for p, v in s.strands.items())),
-    )
-
-
-_NUMBER = re.compile(r"-?\d+")
-
-
-def _generic_json(s: SymbolicSet, loc: Addr, pos: int) -> dict:
-    """Render the set with the generic index spelled relative to the
-    locator's own."""
-    rep = loc[pos][1]
-
-    def shift(match: re.Match) -> str:
-        return _offset_token(int(match.group()), rep)
-
-    def relabel(text: str) -> str:
-        # a rendered name spells one number per address position, in order;
-        # only a final ("A",) step spells none
-        m = list(_NUMBER.finditer(text))[pos]
-        return text[:m.start()] + shift(m) + text[m.end():]
-
-    comps = []
-    for at, comp in s.components():
-        if comp["kind"] == "point":
-            if _is_generic(at, loc, pos):
-                comp["at"] = relabel(comp["at"])
-        elif _is_generic(at, loc, pos):
-            comp["region"] = relabel(comp["region"])
-        elif at == loc[:pos] and loc[pos][0] == "z":
-            # the locator's own strand, whose orbit indices are generic
-            comp["profile"] = _NUMBER.sub(shift, comp["profile"])
-        comps.append(comp)
-    return {"components": comps, "generic_index": "m"}

@@ -15,10 +15,9 @@ from .decomposition import (
     REFERENCE_BOUND,
     DegreeTrace,
     Partition,
-    min_saturated_open_mask,
     oracle_partition,  # noqa: F401  (a binding perfbench/tracing.py wraps)
-    sorb_closure_mask,
     stabilize,
+    succ_mask,
 )
 from .errors import CoverError, InternalError, OrdinalError, SizeLimitError
 from .ordinals import OrdinalCNF
@@ -90,16 +89,11 @@ def is_stable_plain(sys: FiniteSystem, m: PointSet) -> bool:
     return is_stable_plain_mask(sys, m.mask)
 
 
-def stable_degree_value_mask(sys: FiniteSystem, p: Partition, mask: int) -> int:
-    """Class-closure of the minimal open saturated neighborhood of the set."""
-    return sorb_closure_mask(sys.space, p, min_saturated_open_mask(sys.space, p, mask))
-
-
 def stable_degree_verdicts(sys: FiniteSystem, trace: DegreeTrace,
                            mask: int) -> tuple[bool, ...]:
     """Whether the set is stable at each degree 0..stabilization; the last
     trace entry repeats the stationary partition and is left out."""
-    return tuple(stable_degree_value_mask(sys, p, mask) == mask
+    return tuple(succ_mask(sys, p, mask) == mask
                  for _, p in trace.entries[:-1])
 
 
@@ -111,7 +105,7 @@ def invariant_core_table(sys: FiniteSystem) -> tuple[int, ...]:
 
 
 def _degree_value_table(sys: FiniteSystem, p: Partition) -> list[int]:
-    """``stable_degree_value_mask`` of every nonempty mask (index 0 is 0):
+    """``succ_mask`` of every nonempty mask (index 0 is 0):
     the least open saturated superset by alternating the open and
     saturation tables to a fixed point, then its least closed saturated
     superset by alternating the closure and saturation tables."""
@@ -154,7 +148,7 @@ def is_stable_degree(sys: FiniteSystem, m: PointSet, d: OrdinalCNF | int,
             f"{trace.stabilization_degree}; the test is constant beyond it"
         )
     p = trace.partition_at(d.as_int())
-    return stable_degree_value_mask(sys, p, m.mask) == m.mask
+    return succ_mask(sys, p, m.mask) == m.mask
 
 
 def is_absolutely_stable(sys: FiniteSystem, m: PointSet,

@@ -1,9 +1,11 @@
 """Definition-direct and superseded implementations that the tests keep as
 references for the code that replaced them."""
 
+import re
+
 from fixfactor.decomposition import Partition
-from fixfactor.errors import InternalError, SizeLimitError
-from fixfactor.ladder.sets import StrandProfile, SymbolicSet
+from fixfactor.errors import InternalError, LocatorError, SizeLimitError
+from fixfactor.ladder.sets import StrandProfile, SymbolicSet, ladder_aorb0_addr
 from fixfactor.ladder.space import TOP, base_addr, child_term
 from fixfactor.ordinals import ZERO
 from fixfactor.topology import _iter_bits
@@ -237,6 +239,84 @@ def four_branch_aorb0_addr(space, addr) -> SymbolicSet:
         else:
             out.pts.add(subtree_top(space, path))
     return out
+
+
+def _is_generic(a, loc, pos: int) -> bool:
+    """True if a's step at pos is the locator's generic index: the same
+    kind of step, under the same prefix."""
+    return len(a) > pos and a[pos][0] == loc[pos][0] and a[:pos] == loc[:pos]
+
+
+def _shift_key(s, loc, pos: int) -> tuple:
+    """The set with the generic index written relative to the locator's."""
+    v = loc[pos][1]
+
+    def shift_addr(a):
+        if not _is_generic(a, loc, pos):
+            return a
+        return a[:pos] + ((a[pos][0], a[pos][1] - v),) + a[pos + 1:]
+
+    def shift_profile(path, prof):
+        if path != loc[:pos] or loc[pos][0] != "z" or prof.start is None:
+            return prof
+        return StrandProfile(prof.start - v)
+
+    return (
+        tuple(sorted(shift_addr(a) for a in s.pts)),
+        tuple(sorted((shift_addr(p), shift_profile(p, v))
+                     for p, v in s.strands.items())),
+    )
+
+
+def _generic_json(s, loc, pos: int) -> dict:
+    """Render the set with the generic index spelled relative to the
+    locator's own."""
+    rep = loc[pos][1]
+
+    def shift(match) -> str:
+        d = int(match.group()) - rep
+        return "m" if d == 0 else f"m{d:+d}"
+
+    def relabel(text: str) -> str:
+        # a rendered name spells one number per address position, in order;
+        # only a final ("A",) step spells none
+        m = list(re.finditer(r"-?\d+", text))[pos]
+        return text[:m.start()] + shift(m) + text[m.end():]
+
+    comps = []
+    # to_json lists the points, then the strands, each in address order
+    ats = sorted(s.pts) + sorted(s.strands)
+    for at, comp in zip(ats, s.to_json()["components"]):
+        if comp["kind"] == "point":
+            if _is_generic(at, loc, pos):
+                comp["at"] = relabel(comp["at"])
+        elif _is_generic(at, loc, pos):
+            comp["region"] = relabel(comp["region"])
+        elif at == loc[:pos] and loc[pos][0] == "z":
+            # the locator's own strand, whose orbit indices are generic
+            comp["profile"] = re.sub(r"-?\d+", shift, comp["profile"])
+        comps.append(comp)
+    return {"components": comps, "generic_index": "m"}
+
+
+def shift_relabel_aorb0_json(space, locator: str) -> dict:
+    """The rendered ``--aorb0`` answer by the earlier codings of a generic
+    index: the concrete answers at m = 4 and m = 5 compared as address sets
+    with the first differing position of the two locators shifted, then the
+    answer at 4 relabeled at that position of each rendered name."""
+    text = locator.strip()
+    if text.rsplit(":", 1)[-1].rsplit("/", 1)[-1] != "m":
+        return ladder_aorb0_addr(space, space.parse_locator(text)).to_json()
+    head, sep, _ = text.rpartition(":")
+    la = space.parse_locator(f"{head}{sep}4")
+    lb = space.parse_locator(f"{head}{sep}5")
+    pos = next(i for i, (x, y) in enumerate(zip(la, lb)) if x != y)
+    a = ladder_aorb0_addr(space, la)
+    b = ladder_aorb0_addr(space, lb)
+    if _shift_key(a, la, pos) != _shift_key(b, lb, pos):
+        raise LocatorError(
+            f"result for {locator!r} is not uniform in the generic index")
+    return _generic_json(a, la, pos)
 
 
 class ReferenceWindow:

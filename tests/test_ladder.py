@@ -1,6 +1,13 @@
 import pytest
 
-from fixfactor.errors import DegreeCapError, DepthError, LocatorError, TermError
+from fixfactor.cli import main
+from fixfactor.errors import (
+    DegreeCapError,
+    DepthError,
+    FixfactorError,
+    LocatorError,
+    TermError,
+)
 from fixfactor.ladder import (
     build_ladder,
     ladder_aorb0,
@@ -8,10 +15,14 @@ from fixfactor.ladder import (
     parse_term,
     term_interior_merge,
     term_stab,
+    window,
 )
+from fixfactor.ladder import sets
 from fixfactor.ladder.sets import ladder_aorb0_addr
+from fixfactor.ladder.space import TOP
 from fixfactor.ladder.terms import BLOCK_INDEX_CAP, NESTING_CAP, cat_power
 from fixfactor.ordinals import OMEGA, OrdinalCNF, parse_ordinal
+from references import shift_relabel_aorb0_json
 
 W2 = parse_ordinal("w*2")
 
@@ -164,6 +175,66 @@ def test_locator_errors():
     with pytest.raises(LocatorError):
         build_ladder("ramp").parse_locator("B1/c:0")
 
+
+
+@pytest.mark.parametrize("fault", ["extra component", "shift by two"])
+@pytest.mark.parametrize("term,locator", [
+    ("cat(strand)", "c:m"),
+    ("cat(ramp)", "K2/B1/K0/c:m"),
+    ("cat(cat(ramp))", "K0/K0/B1/K1/S:1:m"),
+])
+def test_generic_answer_that_is_not_a_shift_is_refused(monkeypatch, capsys, term,
+                                                        locator, fault):
+    # a generic answer is read off the concrete answers at m = 4 and m = 5;
+    # break the one at m = 5 and the query must be refused, not relabeled
+    real = sets.ladder_aorb0_addr
+
+    def breaks_at_five(space, addr):
+        name = space.render(addr)
+        if not name.endswith(":5"):
+            return real(space, addr)
+        if fault == "shift by two":
+            return real(space, space.parse_locator(name[:-1] + "6"))
+        out = real(space, addr)
+        out.pts.add(TOP)
+        return out
+
+    monkeypatch.setattr(sets, "ladder_aorb0_addr", breaks_at_five)
+    with pytest.raises(LocatorError, match="not uniform in the generic index"):
+        ladder_aorb0(build_ladder(term), locator)
+    assert main(["ladder", term, "--aorb0", locator]) == 2
+    assert capsys.readouterr().err.startswith("error[E_LOCATOR]")
+
+
+SWEEP_TERMS = ("strand", "cat(strand)", "cat(cat(strand))", "cat(cat(cat(strand)))",
+               "ramp", "cat(ramp)", "cat(cat(ramp))")
+
+
+def sweep_locators(space) -> list[str]:
+    """Every name of the (4,3) window that spells a number, and the generic
+    locator that puts m in place of its last index."""
+    names = {n for n in window(space, 4, 3).names if n[-1].isdigit()}
+    return sorted(names | {n.rpartition(":")[0] + ":m" for n in names})
+
+
+def verdict(answer, space, locator):
+    try:
+        return answer(space, locator)
+    except FixfactorError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_aorb0_matches_shift_relabel_reference_on_window_sweep():
+    # the generic answer read off two renderings against the earlier
+    # address-shift check and per-position relabel, answer and refusal alike
+    count = 0
+    for term in SWEEP_TERMS:
+        space = build_ladder(term)
+        for loc in sweep_locators(space):
+            got = verdict(lambda sp, lc: ladder_aorb0(sp, lc).to_json(), space, loc)
+            assert got == verdict(shift_relabel_aorb0_json, space, loc), (term, loc)
+            count += 1
+    assert count == 2311
 
 # ----------------------------------------------------------------- traces
 

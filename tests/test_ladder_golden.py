@@ -8,6 +8,7 @@ the decomposition of that system shows up, in the style of
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -90,6 +91,25 @@ AORB0_SHA256 = {
         "71e0c7da36d1ff1b388412ea02d7c7e1a3b9f1f33a85830dfbf5d5ff8c3a8507",
     ("cat(cat(ramp))", "top"):
         "857676c32e4b0cad2e6cff180bd6a54e2e26295b7147a1ed09441766d80e2bf5",
+    ("strand", "z:m"): "e0b2e854df5867f878a4784a9da8141b35a05d5fe7373ca3c54fc7505fe6cfb3",
+    ("cat(strand)", "S:4:m"):
+        "6d7138b75531aeb11afcff78e1519e4f389dc59aa1cc787c37f79102df3edc7b",
+    ("ramp", "B1/K1/c:m"): "977667ee0e74be175daacc7df57cbc58690807535f93b5762af5e60612c076dc",
+    ("cat(ramp)", "K2/B1/K0/c:m"):
+        "de341bff88c22ef8e2261d01cfab39ca8c937b11926bea57b8e0adab9a47b173",
+    ("cat(cat(ramp))", "K0/K2/B1/K0/c:m"):
+        "c706b076f7ddfaed4084e9e4fe059e397a57a9e648b615c5d25878542aca8c98",
+    ("cat(cat(ramp))", "K0/K0/B1/K1/S:1:m"):
+        "ee20fcefb4fea0beba73081c44dcc13bea43719ac9a3041379b875caaad189eb",
+}
+
+# `oracle` of the 3,459-point `cat(ramp)` (6,6) window dump, and `lyapunov`
+# there of `top` alone (not stable) and of the oracle class that holds `top`
+# (41 points, absolutely stable)
+DUMP_ORACLE_SHA256 = "852c4804c57a526509106465aef2bbc5d609278469fcb842c617b60fe1826b85"
+LYAPUNOV_SHA256 = {
+    "top": "96bea15101c7f28c0ec1e84e341441ca6f62c1ffb5d1533823ddf4d3ce3273d9",
+    "class of top": "98d236030aee258d0092be1f072d01354dec080cce6c97040549262c19b7f0b8",
 }
 
 
@@ -125,3 +145,20 @@ def test_ladder_aorb0_outputs_pinned(tmp_path, term, locator):
     out = tmp_path / "aorb0.json"
     assert main(["ladder", term, "--aorb0", locator, "--out", str(out)]) == 0
     assert sha256(out) == AORB0_SHA256[term, locator]
+
+
+def test_lyapunov_on_window_dump_pinned(tmp_path):
+    dump, oracle = tmp_path / "d.json", tmp_path / "do.json"
+    assert main(["window", "cat(ramp)", "--family-cut", "6", "--strand-cut", "6",
+                 "--system-out", str(dump), "--out", str(tmp_path / "dw.json")]) == 0
+    assert main(["oracle", str(dump), "--out", str(oracle)]) == 0
+    assert sha256(oracle) == DUMP_ORACLE_SHA256
+    (top_class,) = [c for c in json.loads(oracle.read_text())["classes"] if "top" in c]
+    assert len(top_class) == 41
+    for name, members, verdict in (("top", ["top"], False),
+                                   ("class of top", top_class, True)):
+        out = tmp_path / "lyapunov.json"
+        assert main(["lyapunov", str(dump), "--set", ",".join(members),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["absolutely_stable"] is verdict
+        assert sha256(out) == LYAPUNOV_SHA256[name]
