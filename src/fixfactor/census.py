@@ -30,12 +30,9 @@ from .decomposition import (
     Partition,
     QuotientResult,
     aorb0_masks,
-    aorb_succ_mask,
     class_invariant,
     generated_partition,
     oracle_partition,
-    prolongation_D1,
-    prolongation_D2,
     prolongation_reference,
     quotient,
     reference_intersection,
@@ -44,6 +41,7 @@ from .decomposition import (
 from .errors import SizeLimitError, UnknownNameError
 from .stability import (
     StabilityTable,
+    degree_value_table,
     finest_abs_stable_partition,
     invariant_core_reference,
     invariant_core_table,
@@ -108,26 +106,34 @@ def enumerate_preorders(n: int) -> Iterator[FiniteSpace]:
 
 
 def monotone_maps(space: FiniteSpace) -> Iterator[SelfMap]:
-    """All continuous self-maps, by backtracking in point order."""
-    n = space.n
-    img = [0] * n
+    """All continuous self-maps, by backtracking in point order, in
+    lexicographic order of their images.
 
-    def ok(i: int) -> bool:
-        for j in range(i + 1):
-            if space.up[i] >> j & 1 and not space.up[img[i]] >> img[j] & 1:
-                return False
-            if space.up[j] >> i & 1 and not space.up[img[j]] >> img[i] & 1:
-                return False
-        return True
+    A map is continuous when it keeps every pair j in U_i inside U_img[i].
+    So the images that point i may take, given those of the earlier
+    points, are one mask: the AND of down[img[j]] over the earlier j in
+    U_i and of up[img[j]] over the earlier j with i in U_j.  Its bits are
+    tried upward.
+    """
+    n, up, down = space.n, space.up, space.down
+    above = [tuple(_iter_bits(u & ((1 << i) - 1))) for i, u in enumerate(up)]
+    below = [tuple(_iter_bits(d & ((1 << i) - 1))) for i, d in enumerate(down)]
+    img = [0] * n
 
     def rec(i: int) -> Iterator[SelfMap]:
         if i == n:
             yield SelfMap(space, tuple(img))
             return
-        for v in range(n):
-            img[i] = v
-            if ok(i):
-                yield from rec(i + 1)
+        cand = space.full_mask
+        for j in above[i]:
+            cand &= down[img[j]]
+        for j in below[i]:
+            cand &= up[img[j]]
+        while cand:
+            low = cand & -cand
+            img[i] = low.bit_length() - 1
+            yield from rec(i + 1)
+            cand ^= low
 
     yield from rec(0)
 
@@ -296,19 +302,44 @@ class Analysis:
         return aorb0_masks(self.sys)
 
     @functools.cached_property
+    def values(self) -> list[list[int]]:
+        """``degree_value_table`` at each non-final trace entry: the finite
+        successor step of every mask, read off the open, closure and
+        saturation tables."""
+        return [degree_value_table(self.sys, p) for _, p in self.trace.entries[:-1]]
+
+    @functools.cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
-        """``aorb_succ_mask`` of each point at each non-final trace entry.
+        """The successor orbit of each point at each non-final trace entry,
+        entry ``1 << i`` of its value table.
 
         ``stabilize`` stops only when the last two partitions have the same
         blocks, so ``succ[-1]`` are the orbits at the stationary partition.
         """
-        return tuple(tuple(aorb_succ_mask(self.sys, p, i) for i in range(self.sys.n))
-                     for _, p in self.trace.entries[:-1])
+        return tuple(tuple(v[1 << i] for i in range(self.sys.n)) for v in self.values)
+
+    @functools.cached_property
+    def prolongations(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(D1, D2) of each point, read off the closure and orbit tables:
+        D1 is cl(orbit(U_i)), D2 the closure of the union of its iterated
+        D1 images.  ``prolongation_reference``, which guards them, keeps
+        its own copy of the iteration."""
+        closure, orbit = self.sys.space.closure_table, self.sys.map.orbit_table
+        d1, d2 = [], []
+        for u in self.sys.space.up:
+            first = cur = closure[orbit[u]]
+            union = 0
+            while cur & ~union:
+                union |= cur
+                cur = closure[orbit[cur]]
+            d1.append(first)
+            d2.append(closure[union])
+        return tuple(d1), tuple(d2)
 
     @functools.cached_property
     def stability(self) -> StabilityTable:
         """Plain stability and the per-degree verdicts of each nonempty mask."""
-        return stability_table(self.sys, self.trace)
+        return stability_table(self.sys, self.trace, self.values)
 
     @functools.cached_property
     def quotient(self) -> QuotientResult:
@@ -427,11 +458,12 @@ def check_quotient_neighborhood(a: Analysis) -> str | None:
 def check_prolongations(a: Analysis) -> str | None:
     sys = a.sys
     direct_d1, direct_d2 = prolongation_reference(sys)
+    d1s, d2s = a.prolongations
     for i, x in enumerate(sys.space.points):
-        d1 = prolongation_D1(sys, x).mask
+        d1 = d1s[i]
         if d1 != a.aorb0[i]:
             return f"D1({x}) != aorb0({x})"
-        if prolongation_D2(sys, x).mask != d1:
+        if d2s[i] != d1:
             return f"D2({x}) != D1({x})"
         if direct_d1[i] != d1:
             return f"definition-direct D1({x}) differs"

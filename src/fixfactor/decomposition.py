@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import CoverError, InternalError, InvarianceError, SizeLimitError
-from .ordinals import OrdinalCNF
+from .ordinals import ONE, ZERO, OrdinalCNF
 from .topology import (
     REFERENCE_BOUND,
     FiniteSpace,
@@ -230,15 +230,22 @@ def sorb0_partition(sys: FiniteSystem) -> Partition:
 
 
 def min_saturated_open_mask(space: FiniteSpace, p: Partition, seed: int) -> int:
-    """Least open, P-saturated superset of the seed mask."""
-    out = seed
-    while True:
-        grown = p.saturate_mask(out)
-        for i in _iter_bits(grown):
+    """Least open, P-saturated superset of the seed mask.
+
+    Saturation and the least open superset each map a union to the union
+    of their values, so each round needs only the points the last round
+    added.  Those lie outside the classes met so far, so each class is
+    saturated once and each point opened up once.
+    """
+    out, new = 0, seed
+    while new:
+        new = p.saturate_mask(new)
+        out |= new
+        grown = 0
+        for i in _iter_bits(new):
             grown |= space.up[i]
-        if grown == out:
-            return out
-        out = grown
+        new = grown & ~out
+    return out
 
 
 def min_saturated_open_nbhd(sys: FiniteSystem, p: Partition, x: str) -> PointSet:
@@ -247,13 +254,13 @@ def min_saturated_open_nbhd(sys: FiniteSystem, p: Partition, x: str) -> PointSet
 
 
 def sorb_closure_mask(space: FiniteSpace, p: Partition, mask: int) -> int:
-    """Least closed, P-saturated superset: alternate closure and saturation."""
-    out = mask
-    while True:
-        grown = p.saturate_mask(space.closure_mask(out))
-        if grown == out:
-            return out
-        out = grown
+    """Least closed, P-saturated superset: alternate closure and saturation,
+    each round on the points the last round added only."""
+    out = new = mask
+    while new:
+        new = p.saturate_mask(space.closure_mask(new)) & ~out
+        out |= new
+    return out
 
 
 def sorb_closure(sys: FiniteSystem, p: Partition, u: PointSet) -> PointSet:
@@ -406,8 +413,7 @@ def stabilize(sys: FiniteSystem) -> DegreeTrace:
     p = sorb0_partition(sys)
     if not _degree_zero_certificate(sys, p):
         raise InternalError("base partition is not open and invariant")
-    return DegreeTrace(((OrdinalCNF.from_int(0), p), (OrdinalCNF.from_int(1), p)),
-                       OrdinalCNF.from_int(0))
+    return DegreeTrace(((ZERO, p), (ONE, p)), ZERO)
 
 
 @dataclass(frozen=True)

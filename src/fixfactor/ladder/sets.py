@@ -139,8 +139,8 @@ def ladder_aorb0(space: LadderSpace, locator: str):
     """
     text = locator.strip()
     if not _has_generic(text):
-        return ladder_aorb0_addr(space, space.parse_locator(text))
-    a, b = (json.dumps(ladder_aorb0_addr(space, space.parse_locator(_subst(text, m)))
+        return ladder_aorb0_addr(space, _parse(space, locator, text))
+    a, b = (json.dumps(ladder_aorb0_addr(space, _parse(space, locator, _subst(text, m)))
                        .to_json()["components"]) for m in (4, 5))
     comps = _relative_to_m(a, b)
     if comps is None:
@@ -169,9 +169,22 @@ def _relative_to_m(a: str, b: str) -> list | None:
     return json.loads("".join(ta))
 
 
+def _parse(space: LadderSpace, locator: str, text: str) -> Addr:
+    """The address ``text`` names, refused under the locator as typed:
+    ``parse_locator`` names the text it parses, which for a generic locator
+    is the substituted one, and below a family prefix only the rest."""
+    try:
+        return space.parse_locator(text)
+    except LocatorError:
+        raise LocatorError(
+            f"locator {locator!r} does not name a point of {space.term}") from None
+
+
 def _has_generic(text: str) -> bool:
-    tail = text.rsplit(":", 1)[-1].rsplit("/", 1)[-1]
-    return tail == "m"
+    """Whether the last index, the text after the last colon, is m: the
+    part that ``_subst`` replaces."""
+    _, sep, tail = text.rpartition(":")
+    return bool(sep) and tail == "m"
 
 
 def _subst(text: str, value: int) -> str:

@@ -79,6 +79,7 @@ class OrdinalCNF:
 
 
 ZERO = OrdinalCNF()
+ONE = OrdinalCNF.from_int(1)
 OMEGA = OrdinalCNF.omega()
 
 

@@ -104,7 +104,7 @@ def invariant_core_table(sys: FiniteSystem) -> tuple[int, ...]:
     return tuple(orbit[u] for u in sys.space.open_table)
 
 
-def _degree_value_table(sys: FiniteSystem, p: Partition) -> list[int]:
+def degree_value_table(sys: FiniteSystem, p: Partition) -> list[int]:
     """``succ_mask`` of every nonempty mask (index 0 is 0):
     the least open saturated superset by alternating the open and
     saturation tables to a fixed point, then its least closed saturated
@@ -123,11 +123,15 @@ def _degree_value_table(sys: FiniteSystem, p: Partition) -> list[int]:
 StabilityTable = dict[int, tuple[bool, tuple[bool, ...]]]
 
 
-def stability_table(sys: FiniteSystem, trace: DegreeTrace) -> StabilityTable:
+def stability_table(sys: FiniteSystem, trace: DegreeTrace,
+                    values: list[list[int]] | None = None) -> StabilityTable:
     """For every nonempty mask, whether it is plainly stable and its
-    ``stable_degree_verdicts``; absolutely stable means both hold."""
+    ``stable_degree_verdicts``; absolutely stable means both hold.
+    ``values`` are the ``degree_value_table`` of each non-final trace
+    entry, built here when not given."""
     core = invariant_core_table(sys)
-    values = [_degree_value_table(sys, p) for _, p in trace.entries[:-1]]
+    if values is None:
+        values = [degree_value_table(sys, p) for _, p in trace.entries[:-1]]
     return {mask: (core[mask] == mask, tuple(v[mask] == mask for v in values))
             for mask in range(1, sys.space.full_mask + 1)}
 

@@ -34,6 +34,33 @@ def count_preorders_bruteforce(n: int) -> int:
     return count
 
 
+def reference_monotone_maps(space):
+    """The images of every continuous self-map, by the earlier backtrack
+    that tries each of the n images at each point and checks it against
+    every earlier point, in lexicographic order."""
+    n = space.n
+    img = [0] * n
+
+    def ok(i: int) -> bool:
+        for j in range(i + 1):
+            if space.up[i] >> j & 1 and not space.up[img[i]] >> img[j] & 1:
+                return False
+            if space.up[j] >> i & 1 and not space.up[img[j]] >> img[i] & 1:
+                return False
+        return True
+
+    def rec(i: int):
+        if i == n:
+            yield tuple(img)
+            return
+        for v in range(n):
+            img[i] = v
+            if ok(i):
+                yield from rec(i + 1)
+
+    yield from rec(0)
+
+
 def one_class(space) -> Partition:
     """The partition with the whole space as its only class."""
     return Partition.from_class_of(space, [0] * space.n)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -16,7 +17,7 @@ from fixfactor.cli import main
 from fixfactor.decomposition import Partition
 from fixfactor.errors import SizeLimitError, UnknownNameError
 from fixfactor.systems import sierpinski
-from references import count_preorders_bruteforce
+from references import count_preorders_bruteforce, reference_monotone_maps
 
 
 def test_preorder_counts_match_known_sequence():
@@ -33,6 +34,27 @@ def test_preorder_count_independent_bruteforce():
 def test_sierpinski_contributes_three_systems():
     space = sierpinski().space
     assert sum(1 for _ in monotone_maps(space)) == 3
+
+
+def test_monotone_maps_in_the_order_of_the_backtrack_up_to_five_points():
+    # the same maps in the same order, so every census report and every
+    # random_systems draw stays the same
+    count = 0
+    for n in range(1, 6):
+        for space in enumerate_preorders(n):
+            got = [m.img for m in monotone_maps(space)]
+            assert got == list(reference_monotone_maps(space)), space.up
+            count += len(got)
+    assert count == 1 + 14 + 375 + 17440 + 1326310
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_monotone_maps_in_the_order_of_the_backtrack_where_random_systems_draw(n):
+    # random_systems draws each map from the first 64 of its space
+    for sys_ in random_systems(n, 20, seed=4000 + n):
+        space = sys_.space
+        assert [m.img for m in itertools.islice(monotone_maps(space), 64)] == \
+            list(itertools.islice(reference_monotone_maps(space), 64)), space.up
 
 
 def test_enumerate_systems_size_guard():
@@ -196,14 +218,21 @@ def test_guards_fire_on_an_aorb0_without_closure(monkeypatch):
 
 
 def test_guards_fire_on_an_aorb_succ_without_saturation(monkeypatch):
-    # Skipping saturation in min_saturated_open_mask alone changes nothing on
-    # a finite system: the classes of the stationary partition are clopen,
-    # so any seed between {x} and C(x) closes and saturates to C(x).
-    monkeypatch.setattr(census, "aorb_succ_mask",
-                        lambda sys_, p, i: sys_.space.closure_mask(sys_.space.up[i]))
+    # The census reads the successor orbit of point i off entry 1 << i of
+    # the value table of its trace partition, and the stability verdicts off
+    # the same table.  Skipping saturation in the open half alone changes
+    # nothing on a finite system: the classes of the stationary partition
+    # are clopen, so any seed between {x} and C(x) closes and saturates to
+    # C(x).  So the mutant skips it in both halves.  Its verdicts then call
+    # every clopen invariant set absolutely stable, saturated or not (a
+    # fixed isolated point whose base class is larger, say), and the
+    # containment lemma sees the base class stick out.
+    monkeypatch.setattr(census, "degree_value_table",
+                        lambda sys_, p: [sys_.space.closure_table[u]
+                                         for u in sys_.space.open_table])
     report = run_census(3, checks=census.ALL_CHECK_NAMES)
     assert failed_checks(report) == {"definition-direct", "quotient-neighborhood",
-                                     "stabilization-degree-0"}
+                                     "stabilization-degree-0", "containment-lemma"}
 
 
 def test_guard_fires_on_an_invariant_core_without_the_orbit(monkeypatch):

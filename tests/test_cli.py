@@ -142,6 +142,16 @@ def test_locator_error_names_the_typed_locator(capsys):
     assert "K0/top" in err and "('copy'" not in err
 
 
+@pytest.mark.parametrize("locator", ["q:m", "K0/m", "K0/B1/K0/c:3/m"])
+def test_malformed_generic_locator_error_names_the_typed_locator(capsys, locator):
+    # a generic locator is parsed at m = 4 and m = 5, and a refusal must not
+    # name the substituted 'q:4'; 'K0/m' has no colon, so its m is no index
+    code = main(["ladder", "cat(ramp)", "--aorb0", locator])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error[E_LOCATOR]: locator {locator!r} does not name a point of cat(ramp)\n"
+
+
 def test_window_command_with_check(tmp_path, capsys):
     sysout = tmp_path / "win.json"
     code, out = run_cli(

@@ -216,8 +216,10 @@ def assert_aorb_succ_matches_reference_at_every_partition(sys_):
 
 
 def test_aorb_succ_matches_reference_at_every_partition():
-    # the census compares aorb_succ with its reference only at stationary
-    # partitions, whose classes are clopen and hide a fault in saturation
+    # the census reads its successor orbits off the value tables and never
+    # calls aorb_succ, and it compares them with the reference only at
+    # stationary partitions, whose classes are clopen and hide a fault in
+    # saturation; this is the reference guard on the loops themselves
     systems = [s for n in range(1, 5) for s in enumerate_systems(n, up_to_iso=True)]
     systems += random_systems(5, 40, seed=3005) + random_systems(6, 20, seed=3006)
     for sys_ in systems:

@@ -206,6 +206,17 @@ def test_generic_answer_that_is_not_a_shift_is_refused(monkeypatch, capsys, term
     assert capsys.readouterr().err.startswith("error[E_LOCATOR]")
 
 
+@pytest.mark.parametrize("text,generic", [
+    ("c:m", True), ("K0/B1/K0/c:m", True), ("S:1:m", True), (":m", True),
+    ("K0/m", False), ("m", False), ("c:3/m", False), ("c:4", False), ("c:mm", False),
+])
+def test_a_locator_is_generic_when_sets_subst_replaces_an_m(text, generic):
+    # the generic index is the text after the last colon, which _subst replaces
+    assert sets._has_generic(text) is generic
+    if generic:
+        assert sets._subst(text, 4) == text[:-1] + "4"
+
+
 SWEEP_TERMS = ("strand", "cat(strand)", "cat(cat(strand))", "cat(cat(cat(strand)))",
                "ramp", "cat(ramp)", "cat(cat(ramp))")
 

@@ -2,8 +2,16 @@
 
 import pytest
 
-from fixfactor.census import enumerate_systems, random_systems
-from fixfactor.decomposition import REFERENCE_BOUND, DegreeTrace, Partition, stabilize
+from fixfactor.census import Analysis, analyze, enumerate_systems, random_systems
+from fixfactor.decomposition import (
+    REFERENCE_BOUND,
+    DegreeTrace,
+    Partition,
+    aorb_succ_mask,
+    prolongation_D1,
+    prolongation_D2,
+    stabilize,
+)
 from fixfactor.errors import SizeLimitError
 from fixfactor.ordinals import OrdinalCNF
 from fixfactor.stability import (
@@ -91,7 +99,8 @@ def test_stability_table_matches_the_per_mask_loops():
 def test_stability_table_matches_the_loops_at_every_partition():
     # a finite trace stops at its clopen degree-0 partition; a made-up
     # trace through any partition also drives the alternation through
-    # classes that are not open
+    # classes that are not open, in the stability table and in the
+    # successor orbits the census reads off the same value table
     zero, one = OrdinalCNF.from_int(0), OrdinalCNF.from_int(1)
     for n in range(1, 5):
         for sys_ in enumerate_systems(n, up_to_iso=True):
@@ -100,6 +109,21 @@ def test_stability_table_matches_the_loops_at_every_partition():
                 trace = DegreeTrace(((zero, p), (one, p)), zero)
                 assert stability_table(sys_, trace) == \
                     reference_stability_table(sys_, trace), rgs
+                assert Analysis(sys_, trace, p).succ == \
+                    (tuple(aorb_succ_mask(sys_, p, i) for i in range(n)),), rgs
+
+
+def test_census_reads_what_the_loops_compute():
+    # the census reads the successor orbits and the prolongations off the
+    # tables; lyapunov, degree_step and the public API still run the loops
+    for sys_ in LABELED + RANDOM:
+        a = analyze(sys_)
+        points = range(sys_.n)
+        for (_, p), succ in zip(a.trace.entries, a.succ):
+            assert succ == tuple(aorb_succ_mask(sys_, p, i) for i in points)
+        names = sys_.space.points
+        assert a.prolongations == (tuple(prolongation_D1(sys_, x).mask for x in names),
+                                   tuple(prolongation_D2(sys_, x).mask for x in names))
 
 
 def test_tables_refuse_above_the_reference_bound():
