@@ -16,6 +16,7 @@ followed by a newline; ``report_json`` writes them.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -65,7 +66,8 @@ def system_from_json(raw: dict, where: str = "<input>") -> FiniteSystem:
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise FormatError(f"{where}: field 'points' must be a list of strings")
     if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+        isinstance(p, list) and len(p) == 2
+        and isinstance(p[0], str) and isinstance(p[1], str)
         for p in pairs
     ):
         raise FormatError(f"{where}: field 'specializes' must be a list of string pairs")
@@ -213,7 +215,7 @@ def report_json(obj, newline: str = "\n") -> str:
 
 def _emit(data, args) -> None:
     text = data if isinstance(data, str) else report_json(data)
-    if getattr(args, "out", None):
+    if args.out is not None:
         Path(args.out).write_text(text + ("" if text.endswith("\n") else "\n"),
                                   encoding="utf-8")
     else:
@@ -295,7 +297,7 @@ def cmd_ladder(args) -> int:
     from .ladder import build_ladder, ladder_aorb0, ladder_trace, parse_term
 
     space = build_ladder(parse_term(args.term))
-    if args.aorb0:
+    if args.aorb0 is not None:
         result = ladder_aorb0(space, args.aorb0)
         _emit({
             "term": str(space.term),
@@ -314,7 +316,7 @@ def cmd_window(args) -> int:
     space = build_ladder(parse_term(args.term))
     win = window(space, args.family_cut, args.strand_cut)
     payload = win.to_json()
-    if args.system_out:
+    if args.system_out is not None:
         fs = win.to_finite_system()
         Path(args.system_out).write_text(report_json(system_payload(fs)) + "\n",
                                          encoding="utf-8")
@@ -364,7 +366,9 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="fixfactor",
         description="state-space decomposition of finite and ladder systems",

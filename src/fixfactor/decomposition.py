@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import CoverError, InternalError, InvarianceError, SizeLimitError
 from .ordinals import ONE, ZERO, OrdinalCNF
@@ -209,10 +210,11 @@ def aorb0_masks(sys: FiniteSystem) -> tuple[int, ...]:
             acc |= down[c]
             f[c] = acc
     # U_y lies in U_x for every y in U_x, so F[y] may already have been
-    # replaced by its union: the union at x is the same
-    for x, u in enumerate(space.up):
+    # replaced by its union: the union at x is the same.  U_x = {x} at a
+    # point that is not wide, where the union is F[x] itself.
+    for x in space.wide:
         acc = f[x]
-        u ^= 1 << x
+        u = space.up[x] ^ 1 << x
         while u:
             y = u.bit_length() - 1
             acc |= f[y]
@@ -381,15 +383,19 @@ class DegreeTrace:
 
 
 def _degree_zero_certificate(sys: FiniteSystem, p: Partition) -> bool:
-    """Every class of p is open and forward-invariant: for each class C,
-    the union of U_i and {map(i)} over the points i of C lies in C.  A
-    partition into open classes is also one into closed classes, since the
-    complement of each class is a union of the other, open, classes."""
-    up, img = sys.space.up, sys.map.img
-    reach = [0] * p.num_classes
-    for i, c in enumerate(p.class_of):
-        reach[c] |= up[i] | 1 << img[i]
-    return all(r & ~m == 0 for r, m in zip(reach, p.classes))
+    """Every class of p is open and forward-invariant: for each point i,
+    map(i) and U_i lie in the class of i.  U_i = {i} unless i is wide, so
+    only the wide points need the open test.  A partition into open
+    classes is also one into closed classes, since the complement of each
+    class is a union of the other, open, classes."""
+    up, class_of, classes = sys.space.up, p.class_of, p.classes
+    for j, c in zip(sys.map.img, class_of):
+        if class_of[j] != c:
+            return False
+    for i in sys.space.wide:
+        if up[i] & ~classes[class_of[i]]:
+            return False
+    return True
 
 
 def stabilize(sys: FiniteSystem) -> DegreeTrace:
@@ -435,8 +441,8 @@ def quotient(sys: FiniteSystem, p: Partition) -> QuotientResult:
     reps = []
     for m in p.classes:
         reps.append(space.points[(m & -m).bit_length() - 1])
-    up = [1 << c for c in range(k)]
-    for i in range(space.n):
+    up = [1 << c for c in range(k)]  # a point that is not wide adds its own class
+    for i in space.wide:
         ci = p.class_of[i]
         for j in _iter_bits(space.up[i]):
             up[ci] |= 1 << p.class_of[j]
@@ -459,29 +465,28 @@ def oracle_partition(sys: FiniteSystem) -> Partition:
     are the components of comparability plus map edges, and their number is
     the dimension of the fixed function space.
 
-    A union-find merges each point with its image and with the other
-    points of its minimal open set, which only a point wider than itself
-    has; the closures give the same pairs reversed.  The greater of two
-    roots goes under the lesser, so a parent is never above its point.
+    A union-find merges each point with its image, and each wide point
+    with the other points of its minimal open set; the closures give the
+    same pairs reversed.  The greater of two roots goes under the lesser,
+    so a parent is never above its point and the root of a class is its
+    least member, whatever the order of the edges.
     """
     space = sys.space
-    img = sys.map.img
+    up = space.up
     parent = list(range(space.n))
-    for i, u in enumerate(space.up):
-        a = i
+    edges = chain(enumerate(sys.map.img),
+                  ((i, j) for i in space.wide for j in _iter_bits(up[i] ^ 1 << i)))
+    for a, b in edges:
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
-        ends = (img[i],) if u == 1 << i else (img[i], *_iter_bits(u ^ 1 << i))
-        for b in ends:
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
-                a = b
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
     # in index order a parent's own entry is already its root
     for i, r in enumerate(parent):
         parent[i] = parent[r]

@@ -50,13 +50,16 @@ class FiniteSpace:
 
     ``up[i]``  is the bit mask of ``{j : specializes(i, j)}`` -- the minimal
     open set of point i.  ``down[i]`` is ``{j : specializes(j, i)}`` -- the
-    closure of {i}.  Both include i itself (reflexivity).
+    closure of {i}.  Both include i itself (reflexivity).  ``wide`` lists,
+    ascending, the points whose minimal open set is wider than the point
+    itself: only they have non-reflexive pairs.
     """
 
     points: tuple[str, ...]
     up: tuple[int, ...]
     down: tuple[int, ...]
     index: dict[str, int] = field(compare=False, repr=False)
+    wide: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -114,17 +117,10 @@ class FiniteSpace:
         return self.closure_mask(mask) == mask
 
     def specialization_pairs(self) -> list[tuple[str, str]]:
-        """All non-reflexive pairs (x, y) with specializes(x, y).
-
-        Only a point whose minimal open set is wider than itself has one."""
-        points = self.points
-        out = []
-        for i, u in enumerate(self.up):
-            if u != 1 << i:
-                x = points[i]
-                for j in _iter_bits(u ^ 1 << i):
-                    out.append((x, points[j]))
-        return out
+        """All non-reflexive pairs (x, y) with specializes(x, y)."""
+        points, up = self.points, self.up
+        return [(points[i], points[j])
+                for i in self.wide for j in _iter_bits(up[i] ^ 1 << i)]
 
 
 @dataclass(frozen=True)
@@ -237,7 +233,8 @@ def space_from_up_masks(pts: tuple[str, ...], up: list[int], index: dict[str, in
     closure).
 
     A point whose generator mask is only itself keeps it, so the closure
-    and the transpose walk only the other points' non-reflexive bits.
+    and the transpose walk only the other points' non-reflexive bits, and
+    the space keeps that list of wide points.
     """
     n = len(pts)
     wide = [i for i in range(n) if up[i] != 1 << i]
@@ -257,7 +254,7 @@ def space_from_up_masks(pts: tuple[str, ...], up: list[int], index: dict[str, in
             down[j] |= 1 << i
     if index is None:
         index = {p: i for i, p in enumerate(pts)}
-    return FiniteSpace(pts, tuple(up), tuple(down), index)
+    return FiniteSpace(pts, tuple(up), tuple(down), index, tuple(wide))
 
 
 def closure(space: FiniteSpace, s: PointSet) -> PointSet:
@@ -280,21 +277,22 @@ def validate_map(space: FiniteSpace, assignments: dict[str, str]) -> SelfMap:
     extra = [p for p in assignments if p not in space.index]
     if extra:
         raise UnknownNameError(f"assignment names unknown points {extra}")
-    img = tuple(space.idx(assignments[p]) for p in space.points)
+    index, up = space.index, space.up
+    try:
+        img = tuple([index[assignments[p]] for p in space.points])
+    except KeyError as e:
+        raise UnknownNameError(f"unknown point {e.args[0]!r}") from None
     # the reflexive pair is always monotone, since up[k] holds k
-    for i, u in enumerate(space.up):
-        rest = u & ~(1 << i)
-        if not rest:
-            continue
-        target = space.up[img[i]]
-        for j in _iter_bits(rest):
+    for i in space.wide:
+        target = up[img[i]]
+        for j in _iter_bits(up[i] ^ 1 << i):
             if not target >> img[j] & 1:
                 raise ContinuityError(space.points[i], space.points[j])
     return SelfMap(space, img)
 
 
 def is_discrete(space: FiniteSpace) -> bool:
-    return all(space.up[i] == 1 << i for i in range(space.n))
+    return not space.wide
 
 
 def build_system(points: Iterable[str], specializes_pairs: Iterable[tuple[str, str]],
@@ -304,10 +302,13 @@ def build_system(points: Iterable[str], specializes_pairs: Iterable[tuple[str, s
 
 
 def system_payload(sys: FiniteSystem) -> dict:
-    """The JSON form of a system, the inverse of ``build_system``."""
+    """The JSON form of a system, the inverse of ``build_system``.
+
+    The map comes in key order: every writer sorts the keys, and sorting a
+    list that is already in order takes one linear pass."""
     points = sys.space.points
     return {
         "points": list(points),
         "specializes": [[x, y] for x, y in sys.space.specialization_pairs()],
-        "map": {p: points[j] for p, j in zip(points, sys.map.img)},
+        "map": dict(sorted(zip(points, [points[j] for j in sys.map.img]))),
     }

@@ -4,7 +4,7 @@ references for the code that replaced them."""
 import re
 
 from fixfactor.decomposition import Partition
-from fixfactor.errors import InternalError, LocatorError, SizeLimitError
+from fixfactor.errors import ContinuityError, InternalError, LocatorError, SizeLimitError
 from fixfactor.ladder.sets import StrandProfile, SymbolicSet, ladder_aorb0_addr
 from fixfactor.ladder.space import TOP, base_addr, child_term
 from fixfactor.ordinals import ZERO
@@ -88,6 +88,49 @@ def comparability_components(space) -> list[int]:
         seen |= comp
         comps.append(comp)
     return comps
+
+
+def random_generator_up_masks(rng, n: int) -> list[int]:
+    """Reflexive generator up masks of a seeded random relation: a few
+    isolated points, random pairs and one mutual cycle.  The pairs point
+    either way, so a point's extra bits may all lie below its index."""
+    live = rng.sample(range(n), max(1, n - rng.randrange(0, n // 3 + 1)))
+    pairs = [(rng.choice(live), rng.choice(live))
+             for _ in range(rng.randrange(0, 2 * len(live)))]
+    cycle = rng.sample(live, min(len(live), rng.randrange(1, 5)))
+    pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+    up = [1 << i for i in range(n)]
+    for i, j in pairs:
+        up[i] |= 1 << j
+    return up
+
+
+def per_class_certificate(sys_, p) -> bool:
+    """The degree-0 certificate as one union per class: U_i and {map(i)}
+    over the points i of each class, tested against the class."""
+    up, img = sys_.space.up, sys_.map.img
+    reach = [0] * p.num_classes
+    for i, c in enumerate(p.class_of):
+        reach[c] |= up[i] | 1 << img[i]
+    return all(r & ~m == 0 for r, m in zip(reach, p.classes))
+
+
+def per_point_validate_map(space, assignments: dict) -> tuple[int, ...]:
+    """The images of a monotone assignment, checked at every point; a
+    broken pair raises ``ContinuityError`` with the first one in point
+    order."""
+    img = tuple(space.idx(assignments[p]) for p in space.points)
+    for i, u in enumerate(space.up):
+        for j in _iter_bits(u & ~(1 << i)):
+            if not space.up[img[i]] >> img[j] & 1:
+                raise ContinuityError(space.points[i], space.points[j])
+    return img
+
+
+def per_point_specialization_pairs(space) -> list[tuple[str, str]]:
+    """Every non-reflexive pair, from every point's minimal open set."""
+    return [(space.points[i], space.points[j])
+            for i, u in enumerate(space.up) for j in _iter_bits(u & ~(1 << i))]
 
 
 def covering_pairs(sys_) -> list[tuple[str, str]]:

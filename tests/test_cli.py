@@ -10,7 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import fixfactor
 from fixfactor.census import enumerate_systems, random_systems
-from fixfactor.cli import _covering_pairs, load_system, main, report_json, system_from_json
+from fixfactor.cli import (
+    _covering_pairs,
+    load_system,
+    main,
+    make_parser,
+    report_json,
+    system_from_json,
+)
 from fixfactor.errors import FormatError
 from fixfactor.systems import discrete_swap_plus_fixed
 from fixfactor.topology import system_payload
@@ -422,3 +429,61 @@ def test_dot_escapes_quotes_and_backslashes(tmp_path):
         elif "->" in line:
             assert len(strings) == 2 and set(strings) <= set(names)
     assert ids == names
+
+
+# ---------------------------------------------- empty option values are values
+
+
+def test_empty_locator_is_a_locator_error(capsys):
+    code = main(["ladder", "strand", "--aorb0", ""])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error[E_LOCATOR]: locator '' does not name a point of strand\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "{swap}", "--out", ""),
+    ("window", "strand", "--system-out", ""),
+])
+def test_empty_output_path_is_an_io_error(capsys, swap_file, argv):
+    code = main([a.format(swap=swap_file) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error[E_IO]: ")
+
+
+# ------------------------------------------------ the parser is built once
+
+
+def test_the_parser_is_not_built_at_import():
+    src = Path(fixfactor.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import fixfactor.cli as c; print(c.make_parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout == "0\n"
+
+
+def test_repeated_calls_in_one_process_match_calls_alone(swap_file, tmp_path, capsys,
+                                                        monkeypatch):
+    # a usage message is wrapped to the terminal width: fix it for both runs
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = [
+        ["decompose", swap_file, "--format", "dot"],
+        ["decompose", swap_file],
+        ["census", "--points", "0"],
+        ["census", "--points", "2"],
+    ]
+    for with_out in (False, True):
+        for k, argv in enumerate(commands):
+            here, alone = tmp_path / f"here-{k}", tmp_path / f"alone-{k}"
+            code = main(argv + ["--out", str(here)] if with_out else argv)
+            captured = capsys.readouterr()
+            proc = run_module(*argv, *(["--out", str(alone)] if with_out else []))
+            assert (code, captured.out, captured.err) == \
+                (proc.returncode, proc.stdout, proc.stderr)
+            assert here.exists() == alone.exists() == (with_out and code == 0)
+            if here.exists():
+                assert here.read_bytes() == alone.read_bytes()
+    assert make_parser.cache_info().currsize == 1

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -17,6 +18,7 @@ from fixfactor.decomposition import (
     aorb0_masks,
     aorb_succ,
     aorb_succ_mask,
+    comparability_partition,
     degree_step,
     dim_fix,
     generated_partition,
@@ -42,8 +44,16 @@ from fixfactor.systems import (
     niedex_like,
     sierpinski,
 )
-from fixfactor.topology import PointSet, build_system, is_discrete, system_payload
-from references import one_class
+from fixfactor.topology import (
+    FiniteSystem,
+    PointSet,
+    SelfMap,
+    build_system,
+    is_discrete,
+    space_from_up_masks,
+    system_payload,
+)
+from references import one_class, per_class_certificate, random_generator_up_masks
 from set_partitions import iter_partitions
 
 
@@ -397,6 +407,58 @@ def test_certificate_rejects_a_class_that_is_not_invariant():
     sys_ = discrete_swap_plus_fixed()
     assert not dec._degree_zero_certificate(sys_, Partition.identity(sys_.space))
     assert dec._degree_zero_certificate(sys_, sorb0_partition(sys_))
+
+
+def test_certificate_tests_a_wide_point_whose_bits_lie_below_it():
+    # q specializes p only, so U_q = {p, q} while up[1] >> 1 == 1: the
+    # class {q} is invariant under the identity but not open
+    sys_ = build_system(["p", "q"], [("q", "p")], {"p": "p", "q": "q"})
+    assert sys_.space.wide == (1,)
+    assert not dec._degree_zero_certificate(sys_, Partition.identity(sys_.space))
+    assert dec._degree_zero_certificate(sys_, one_class(sys_.space))
+
+
+def map_components(sys_) -> Partition:
+    """Components of the map edges alone: invariant, seldom open."""
+    n = sys_.n
+    discrete = space_from_up_masks(sys_.space.points, [1 << i for i in range(n)])
+    q = oracle_partition(FiniteSystem(discrete, SelfMap(discrete, sys_.map.img)))
+    return Partition(sys_.space, q.class_of, q.classes)
+
+
+def certificate_cases():
+    """(system, partition) pairs: every partition of every census system
+    with at most 3 points; on the 4-point census its base, oracle,
+    comparability, map-component, identity and one-class partitions; the
+    same on seeded random relations up to 40 points with random maps,
+    which the certificate does not need to be continuous."""
+    for n in range(1, 4):
+        for sys_ in enumerate_systems(n):
+            for rgs in iter_partitions(n):
+                yield sys_, Partition.from_class_of(sys_.space, list(rgs))
+    systems = list(enumerate_systems(4))
+    rng = random.Random(4103)
+    for n in [5, 8, 13, 21, 40]:
+        for _ in range(12):
+            names = tuple(f"p{i}" for i in range(n))
+            space = space_from_up_masks(names, random_generator_up_masks(rng, n))
+            img = tuple(rng.choices(range(n), k=n))
+            systems.append(FiniteSystem(space, SelfMap(space, img)))
+    for sys_ in systems:
+        space = sys_.space
+        for p in (sorb0_partition(sys_), oracle_partition(sys_),
+                  comparability_partition(space), map_components(sys_),
+                  Partition.identity(space), one_class(space)):
+            yield sys_, p
+
+
+def test_certificate_matches_the_per_class_union():
+    verdicts = collections.Counter()
+    for sys_, p in certificate_cases():
+        ok = dec._degree_zero_certificate(sys_, p)
+        assert ok == per_class_certificate(sys_, p)
+        verdicts[ok] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 # ------------------------------- references for the collapsed kernel paths

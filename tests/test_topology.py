@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixfactor.census import enumerate_preorders, random_systems
+from fixfactor.census import enumerate_preorders, enumerate_systems, random_systems
 from fixfactor.decomposition import Partition, comparability_partition
 from fixfactor.errors import ContinuityError, UnknownNameError
 from fixfactor.systems import chain, sierpinski
@@ -17,7 +17,12 @@ from fixfactor.topology import (
     space_from_up_masks,
     validate_map,
 )
-from references import comparability_components
+from references import (
+    comparability_components,
+    per_point_specialization_pairs,
+    per_point_validate_map,
+    random_generator_up_masks,
+)
 
 
 def members(ps):
@@ -161,15 +166,8 @@ def test_space_from_up_masks_matches_warshall():
     rng = random.Random(2024)
     for n in [1, 2, 3, 5, 8, 13, 21, 40]:
         for _ in range(12):
-            # a few isolated points, random pairs and one mutual cycle
-            live = rng.sample(range(n), max(1, n - rng.randrange(0, n // 3 + 1)))
-            pairs = [(rng.choice(live), rng.choice(live))
-                     for _ in range(rng.randrange(0, 2 * len(live)))]
-            cycle = rng.sample(live, min(len(live), rng.randrange(1, 5)))
-            pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
-            up = [1 << i for i in range(n)]
-            for i, j in pairs:
-                up[i] |= 1 << j
+            up = random_generator_up_masks(rng, n)
+            pairs = [(i, j) for i in range(n) for j in range(n) if up[i] >> j & 1]
             names = tuple(f"p{i}" for i in range(n))
             space = space_from_up_masks(names, up)
             want = warshall_up_masks(n, pairs)
@@ -259,3 +257,71 @@ def test_kuratowski_laws_random_spaces(pairs, raw_s, raw_t):
     assert cl(cl(s)) == cl(s)                               # idempotent
     assert cl(s | t) == cl(s) | cl(t)                       # preserves unions
     assert space.interior_mask(s) == full & ~cl(full & ~s)  # de-Morgan dual
+
+
+# ------------------------------------- the wide points against the per-point loops
+
+
+def below_only_space():
+    # q specializes p only: the one extra bit of the wide point q lies
+    # below its own index, so up[1] >> 1 == 1 although up[1] != 1 << 1
+    return build_space(["p", "q"], [("q", "p")])
+
+
+def spaces_for_the_wide_loops():
+    """Every preorder with at most 4 points, seeded random relations up to
+    40 points, and the space whose wide point has bits only below it."""
+    spaces = [below_only_space()]
+    spaces += [sp for n in range(1, 5) for sp in enumerate_preorders(n)]
+    rng = random.Random(4101)
+    for n in [1, 2, 3, 5, 8, 13, 21, 40]:
+        for _ in range(12):
+            names = tuple(f"p{i}" for i in range(n))
+            spaces.append(space_from_up_masks(names, random_generator_up_masks(rng, n)))
+    return spaces
+
+
+def test_wide_lists_the_points_wider_than_themselves():
+    for space in spaces_for_the_wide_loops():
+        assert space.wide == tuple(i for i, u in enumerate(space.up) if u != 1 << i)
+        assert is_discrete(space) == all(u == 1 << i for i, u in enumerate(space.up))
+    assert below_only_space().wide == (1,)
+
+
+def test_specialization_pairs_match_the_per_point_loop():
+    for space in spaces_for_the_wide_loops():
+        assert space.specialization_pairs() == per_point_specialization_pairs(space)
+    assert below_only_space().specialization_pairs() == [("q", "p")]
+
+
+def validate_outcome(check, space, assignments):
+    """The images an assignment is accepted with, or the refused pair."""
+    try:
+        out = check(space, assignments)
+    except ContinuityError as e:
+        return e.witness
+    return out if isinstance(out, tuple) else out.img
+
+
+def test_validate_map_matches_the_per_point_loop():
+    # every map of every space with at most 3 points, the census maps of
+    # 4 points, and on each random relation its identity, a constant map
+    # and random maps, which are mostly refused
+    rng = random.Random(4102)
+    cases = [(sys_.space, sys_.map.img) for sys_ in enumerate_systems(4)]
+    for space in spaces_for_the_wide_loops():
+        n = space.n
+        if n <= 3:
+            cases += [(space, img) for img in itertools.product(range(n), repeat=n)]
+        else:
+            cases += [(space, tuple(range(n))), (space, (rng.randrange(n),) * n)]
+            cases += [(space, tuple(rng.choices(range(n), k=n))) for _ in range(4)]
+    refused = 0
+    for space, img in cases:
+        assignments = {p: space.points[j] for p, j in zip(space.points, img)}
+        got = validate_outcome(validate_map, space, assignments)
+        assert got == validate_outcome(per_point_validate_map, space, assignments)
+        refused += got != img
+    assert 0 < refused < len(cases)
+    swap = {"p": "q", "q": "p"}
+    assert validate_outcome(validate_map, below_only_space(), swap) == ("q", "p")
