@@ -369,14 +369,18 @@ def positive_int(text: str) -> int:
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and kept: parsing leaves it as it was."""
+    # usage and help wrap to the width argparse takes with no terminal, not
+    # to the terminal's, so they are the same bytes everywhere
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="fixfactor",
         description="state-space decomposition of finite and ladder systems",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, formatter_class=formatter, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the report to a file instead of stdout")
         return p

@@ -14,20 +14,23 @@ window's size follows from the number of strands, so an oversized window
 is refused before the strand that crosses the cap is expanded.
 
 The audit works on ids, the positions in ``addrs``, through an index
-built once per audited window, which proves that each strand's ids are
-its A and then z = -cut ... +cut in order, so validating the A validates
-the strand.  It recomputes base-degree orbits on the truncation and
-compares them with the symbolic answers on non-frontier points, where no
-slack is allowed; it shares no source rule with the closed form.
-Closure and orbit map unions to unions, so the orbit of x is the union
-over its minimal-neighborhood stub of F[y] = cl_w({y}) | F[phi_w(y)],
-phi_w jumping from the frontier onto the forward limit.  One walk down
-each strand from z = +cut fills F.  At a limit point L, F is cl_w({L}),
-which the index keeps; at a strand end F outlives the walk only when a
-stub names it, elsewhere only while its strand is audited.  Partition
-claims are audited for disjoint cover, forward invariance, monotone
-coarsening and agreement with the overlap-generated equivalence of the
-recomputed orbits.  One pass over the non-frontier points audits each
+built once per audited window, which proves three facts: each strand's
+ids are its A and then z = -cut ... +cut in order, so validating the A
+validates the strand; phi_w steps each to the next, and z = +cut onto
+the A; and each has the A's closure witnesses, but z = -cut adds its own
+top and z = +cut the A.  It recomputes base-degree orbits on the
+truncation and compares them with the symbolic answers on non-frontier
+points, where no slack is allowed; it shares no source rule with the
+closed form.  By the three facts an orbit point's orbit is the suffix of
+its strand from it to z = +cut plus limit points fixed per strand and
+per whether the suffix starts at z = -cut, and a limit point's joins its
+own closure with the orbits of its stub's orbit points.  So orbits and
+claims are held in interval form, a few limit points and one suffix per
+strand they meet, and a check lists the ids of a suffix only where it
+finds them.  Partition claims are audited for disjoint cover, forward
+invariance, monotone coarsening and agreement with the overlap-generated
+equivalence of the recomputed orbits, where an orbit that holds a suffix
+holds the strand's A.  One pass over the non-frontier points audits each
 claim against its orbit and merges the orbit into that equivalence at
 once.  Only degree 0 of the trace is keyed point by point: a strand node
 is merged at every degree, so a strand's points share its key, and later
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from ..errors import CoverError, InternalError, SizeLimitError
 from ..ordinals import ZERO
@@ -226,75 +230,98 @@ class WindowCheckReport:
         }
 
 
-def _decode(sset: SymbolicSet, win: Window) -> set[int]:
-    """The ids of the window points in a symbolic set."""
+def _decode(sset: SymbolicSet, win: Window) -> tuple[set[int], dict[int, int]]:
+    """A symbolic set's window points in interval form: the ids of its
+    single points, and by strand, the id of its A, the first id of the
+    suffix of the strand it holds, one past z = +cut when that is empty."""
     *_, spans = win.index
     ids, c = win.ids, win.strand_cut
-    out = {i for a in sset.pts if (i := ids.get(a)) is not None}
+    pts = {i for a in sset.pts if (i := ids.get(a)) is not None}
+    tails = {}
     for path, prof in sset.strands.items():
         if (span := spans.get(path)) is not None:
-            _, lo, hi = span
-            out.update(range(lo if prof.start is None else lo + c + max(prof.start, -c),
-                             hi + 1))
-    return out
+            a, lo, _ = span
+            tails[a] = lo if prof.start is None else lo + c + min(max(prof.start, -c), c + 1)
+    return pts, tails
 
 
-def base_orbits(win: Window, wanted: set[int]):
-    """Yield the base orbit on the window, as a set of ids, of each wanted
-    point in id order, walking F down only the strands that hold a wanted
-    point or a point a wanted stub names."""
-    phi, _, witnesses, stubs, closures, spans = win.index
-    top = win.ids[TOP]
-    named = {y for x in wanted for y in stubs.get(x, ())}
-    # the strands to walk, by their A's id; a strand point's address is its path and a step
-    heads = {spans[win.addrs[y][:-1]][0] for y in wanted | named if y != top}
-    kept = {}
-
-    def union_over(stub, near):
-        return frozenset().union(*(near.get(y) or kept.get(y) or closures[y]
-                                   for y in stub))
-
-    for a, lo, hi in spans.values():
-        if a not in heads:
-            continue
-        near = {a: closures[a]}
-        for y in range(hi, lo - 1, -1):
-            near[y] = near[phi[y]].union((y,), *map(closures.__getitem__, witnesses[y]))
-        for x in range(a, hi + 1):
-            if x in wanted:
-                yield x, union_over(stubs[x], near) if x == a else near[x]
-        kept.update((y, near[y]) for y in (lo, hi) if y in named)
-    if top in wanted:
-        yield top, union_over(stubs[top], {})
+def _holds(heads: list[int], pts, tails: dict[int, int], y: int) -> bool:
+    """Whether a set in interval form holds id y."""
+    return y in pts or tails.get(heads[y], y + 1) <= y
 
 
-def check_orbit_set(win: Window, x: int, claimed: SymbolicSet, orbit: frozenset,
+def base_orbit(win: Window, x: int) -> tuple[frozenset, dict[int, int]]:
+    """The base orbit of id x on the window in interval form, as ``_decode``
+    gives it.  An orbit point's is its strand's suffix from it and the
+    suffix's closure: closures[A], since the suffix's witnesses are the A's
+    and the A itself, but for the top that z = -cut adds.  A limit point's
+    joins its closure with the orbits of its stub's orbit points."""
+    _, _, witnesses, stubs, closures, _ = win.index
+    heads = win.heads
+    if x not in stubs:
+        a = heads[x]
+        if x != a + 1:
+            return closures[a], {a: x}
+        return closures[a].union(*map(closures.__getitem__, witnesses[x])), {a: x}
+    pts, tails = frozenset(), {}
+    for y in stubs[x]:
+        more, tail = (closures[y], {}) if y in stubs else base_orbit(win, y)
+        pts = pts | more
+        tails.update(tail)
+    return pts, tails
+
+
+ORBIT_CHECKS = (
+    "does not contain its own point",
+    "image of {} escapes the set",  # forward invariance with frontier slack
+    "closure violation at {}",  # window closure may only add frontier points
+    "minimal neighborhood point {} missing",
+    "disagreement with window recomputation at {}",  # off the frontier
+)
+
+
+def check_orbit_set(win: Window, x: int, claimed: SymbolicSet, orbit: tuple,
                     report: WindowCheckReport) -> None:
     """Necessary-condition audit of the base-degree orbit claim of point x
-    against its orbit recomputed on the window, both as ids; each check
-    names the points it finds in id order."""
+    against its orbit recomputed on the window, both in interval form.  A
+    suffix's images leave it only from z = +cut, on the frontier, and its
+    closure is the limit part of its first id's orbit, so the checks read
+    single and limit points, and ids of a suffix only where two differ.
+    They name their finds in ``ORBIT_CHECKS`` order, each in id order."""
     phi, frontier, witnesses, stubs, closures, _ = win.index
-    render, addrs = win.space.render, win.addrs
-    decoded = _decode(claimed, win)
+    heads, end = win.heads, 2 * win.strand_cut + 1
+    pts, tails = _decode(claimed, win)
     report.checks_run += 1
-    closure = frozenset().union(*(closures[w] for a in decoded for w in witnesses[a]))
-    for what, found in (
-        ("does not contain its own point", () if x in decoded else (x,)),
-        # forward invariance with frontier slack
-        ("image of {} escapes the set",
-         [a for a in decoded if phi[a] not in decoded and not frontier[a]]),
-        # closedness: window closure may only add frontier points
-        ("closure violation at {}", [a for a in closure - decoded if not frontier[a]]),
-        # neighborhood property
-        ("minimal neighborhood point {} missing",
-         [a for a in stubs.get(x, (x,)) if a not in decoded and not frontier[a]]),
-        # pointwise agreement with the direct recomputation off the frontier
-        ("disagreement with window recomputation at {}",
-         [a for a in orbit ^ decoded if not frontier[a]]),
-    ):
-        for a in sorted(found):
+    found = set()  # (check, id)
+    if not _holds(heads, pts, tails, x):
+        found.add((0, x))
+    for p in pts:
+        if not frontier[p] and not _holds(heads, pts, tails, phi[p]):
+            found.add((1, p))
+    closure = [closures[w] for p in pts for w in witnesses[p]]
+    for a, s in tails.items():
+        if s <= a + end:
+            closure.append(base_orbit(win, s)[0])
+    for cl in closure:
+        for y in cl:
+            if y not in pts and not frontier[y]:
+                found.add((2, y))
+    for y in stubs.get(x, (x,)):
+        if not frontier[y] and not _holds(heads, pts, tails, y):
+            found.add((3, y))
+    opts, otails = orbit
+    if opts != pts or otails != tails:
+        differ = set(opts ^ pts)
+        for a in otails.keys() | tails.keys():
+            s, t = otails.get(a, a + end + 1), tails.get(a, a + end + 1)
+            differ.update(range(min(s, t), max(s, t)))
+        found.update((4, y) for y in differ if not frontier[y]
+                     and _holds(heads, pts, tails, y) != _holds(heads, opts, otails, y))
+    if found:
+        render, addrs = win.space.render, win.addrs
+        for k, y in sorted(found):
             report.violations.append(f"aorb0({render(addrs[x])}): "
-                                     f"{what.format(render(addrs[a]))}")
+                                     f"{ORBIT_CHECKS[k].format(render(addrs[y]))}")
 
 
 def check_trace(win: Window, trace: LadderTrace,
@@ -348,13 +375,17 @@ def check_trace(win: Window, trace: LadderTrace,
 
 def window_check(space: LadderSpace, win: Window,
                  trace: LadderTrace) -> WindowCheckReport:
+    """Audit the claim of every non-frontier point with ``check_orbit_set``
+    against its ``base_orbit``, every degree of the trace with
+    ``check_trace``, and degree 0 against the overlap equivalence."""
     report = WindowCheckReport(str(space.term), (win.family_cut, win.strand_cut), 0, [])
     # validated once here, per strand, since the orbits and key walk trust them
     for i in sorted(set(win.heads)):
         space.validate(win.addrs[i])
     # One pass over the non-frontier points: each orbit is audited and
     # unioned at once into the overlap equivalence, which keeps a root per
-    # point and an owner per covered point, not the orbit.
+    # point and an owner per limit point, not the orbit: orbits that meet
+    # on a strand's suffix both hold its A.
     _, frontier, *_ = win.index
     nonfrontier = [i for i, edge in enumerate(frontier) if not edge]
     addrs = win.addrs
@@ -367,10 +398,11 @@ def window_check(space: LadderSpace, win: Window,
             a = parent[a]
         return a
 
-    for x, orbit in base_orbits(win, set(nonfrontier)):
+    for x in nonfrontier:
+        orbit = base_orbit(win, x)
         check_orbit_set(win, x, ladder_aorb0_addr(space, addrs[x]), orbit, report)
         root = x
-        for e in orbit:
+        for e in orbit[0]:
             first = owner[e]
             if first < 0:
                 owner[e] = x
@@ -399,7 +431,9 @@ def window_answers_stable(space: LadderSpace, wins: list[Window]) -> list[str]:
     answers = []
     for w in wins:
         # the orbits go back to addresses only at the shared points
-        answers.append({w.addrs[x]: shared_set.intersection(map(w.addrs.__getitem__, orbit))
-                        for x, orbit in base_orbits(w, {w.ids[a] for a in shared})})
+        end, orbits = 2 * w.strand_cut + 1, {a: base_orbit(w, w.ids[a]) for a in shared}
+        answers.append({a: shared_set.intersection(map(w.addrs.__getitem__, chain(
+            pts, *(range(s, h + end + 1) for h, s in tails.items()))))
+            for a, (pts, tails) in orbits.items()})
     return [f"aorb0({space.render(a)}) unstable across windows" for a in shared
             if any(ans[a] != answers[0][a] for ans in answers)]

@@ -465,10 +465,19 @@ def test_the_parser_is_not_built_at_import():
     assert proc.stdout == "0\n"
 
 
-def test_repeated_calls_in_one_process_match_calls_alone(swap_file, tmp_path, capsys,
-                                                        monkeypatch):
-    # a usage message is wrapped to the terminal width: fix it for both runs
-    monkeypatch.setenv("COLUMNS", "80")
+@pytest.mark.parametrize("argv", [(), ("census", "--points", "0")])
+def test_usage_errors_do_not_depend_on_the_terminal_width(argv, monkeypatch):
+    # one usage error of the top-level parser and one of a subcommand's
+    outs = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        proc = run_module(*argv)
+        outs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert outs[0][:2] == (2, "")
+    assert outs[0] == outs[1]
+
+
+def test_repeated_calls_in_one_process_match_calls_alone(swap_file, tmp_path, capsys):
     commands = [
         ["decompose", swap_file, "--format", "dot"],
         ["decompose", swap_file],

@@ -11,13 +11,18 @@ import pytest
 from fixfactor.decomposition import stabilize
 from fixfactor.errors import CoverError, InternalError, LocatorError, SizeLimitError
 from fixfactor.ladder import build_ladder, ladder_trace, window, window_check
-from fixfactor.ladder.sets import SymbolicSet, backward_source, ladder_aorb0_addr
+from fixfactor.ladder.sets import (
+    StrandProfile,
+    SymbolicSet,
+    backward_source,
+    ladder_aorb0_addr,
+)
 from fixfactor.ladder.space import TOP, child_term
 from fixfactor.ladder.terms import ramp_block_term, term_interior_merge, term_stab
 from fixfactor.ladder.trace import LadderTrace, SymPartition, class_key
 from fixfactor.ladder.window import (
     WindowCheckReport,
-    base_orbits,
+    base_orbit,
     check_orbit_set,
     check_trace,
     window_answers_stable,
@@ -95,7 +100,15 @@ def test_window_audit_zero_violations(term):
 def orbit_of(w, addr):
     """A point's id and its base orbit recomputed on the window."""
     x = w.ids[addr]
-    return x, dict(base_orbits(w, {x}))[x]
+    return x, base_orbit(w, x)
+
+
+def materialized(w, orbit) -> set:
+    """The addresses of an orbit in interval form."""
+    pts, tails = orbit
+    end = 2 * w.strand_cut + 1
+    return {w.addrs[i] for i in pts} | {w.addrs[i] for a, s in tails.items()
+                                        for i in range(s, a + end + 1)}
 
 
 def reference_audit(w, claim) -> list[str]:
@@ -419,6 +432,67 @@ AUDIT_WINDOWS = [
     *((t, c) for t in ("cat(cat(strand))", "cat(cat(cat(strand)))")
       for c in ((3, 3), (5, 6))),
 ]
+
+
+def claim_mutants(w):
+    """Closed forms of the base orbit that are wrong wherever they change a
+    claim: an orbit point's claim without its A, a forward tail one index
+    late, the whole strand in place of a tail, top added, and, when the
+    window has more than one strand, every tail moved to the next strand
+    and the next strand's A in place of an orbit point's own."""
+    paths = list(w.strands)
+    after = dict(zip(paths, paths[1:] + paths[:1]))
+
+    def without_a(out, a):
+        if a[-1][0] == "z":
+            out.pts.discard(a[:-1] + (("A",),))
+
+    def late(out, a):
+        out.strands = {p: StrandProfile(None if prof.start is None else prof.start + 1)
+                       for p, prof in out.strands.items()}
+
+    def whole(out, a):
+        out.strands = dict.fromkeys(out.strands, StrandProfile())
+
+    def with_top(out, a):
+        out.pts.add(TOP)
+
+    def moved(out, a):
+        out.strands = {after.get(p, p): prof for p, prof in out.strands.items()}
+
+    def next_a(out, a):
+        if a[-1][0] == "z":
+            out.pts = {after[a[:-1]] + (("A",),)}
+
+    def mutant(change):
+        def claim(space, a):
+            out = ladder_aorb0_addr(space, a).copy()
+            change(out, a)
+            return out
+        return claim
+
+    # a window of one strand has no other strand to move a tail to
+    changes = (without_a, late, whole, with_top, *((moved, next_a) if len(paths) > 1 else ()))
+    return [mutant(change) for change in changes]
+
+
+@pytest.mark.parametrize("term,cuts", AUDIT_WINDOWS)
+def test_interval_audit_matches_the_per_point_audit(term, cuts, monkeypatch):
+    # the audit in interval form against the per-point audit of address
+    # sets, on the real claims and on claims wrong at every point
+    sp = build_ladder(term)
+    w = window(sp, *cuts)
+    tr = ladder_trace(sp, W2)
+    checks = len(w.addrs) - len(w.frontier) + len(tr.entries) + 1
+    rep = window_check(sp, w, tr)
+    assert rep.violations == reference_audit(w, ladder_aorb0_addr) == []
+    assert rep.checks_run == checks
+    for claim in claim_mutants(w):
+        monkeypatch.setattr(window_mod, "ladder_aorb0_addr", claim)
+        rep = window_check(sp, w, tr)
+        assert rep.violations, claim
+        assert rep.violations == reference_audit(w, claim)
+        assert rep.checks_run == checks
 
 
 def assert_strand_points_share_the_strand_key(term, cuts):
@@ -761,18 +835,16 @@ def test_audit_catches_a_wrong_backward_source(monkeypatch):
 
 
 def test_base_orbits_match_the_per_point_recomputation():
-    # the recurrence along phi_w against orbit_w and then closure_w of each
-    # point's own stub, off the frontier, where the audit reads it, and on
-    # the frontier of the smaller windows, where only stubs and witnesses do
+    # the interval form, materialized, against orbit_w and then closure_w of
+    # each point's own stub, off the frontier, where the audit reads it, and
+    # on the frontier of the smaller windows, where only stubs and witnesses do
     points = 0
     for sp, w in source_windows():
         ref = ReferenceWindow(w)
-        every = [set(range(len(w.addrs)))] if len(w.addrs) < 2_000 else []
-        for wanted in ({w.ids[a] for a in ref.nonfrontier}, *every):
-            got = list(base_orbits(w, wanted))
-            assert [x for x, _ in got] == sorted(wanted)
-            for x, orbit in got:
-                assert {w.addrs[i] for i in orbit} == ref.aorb0_w(w.addrs[x]), w.addrs[x]
+        wanted = range(len(w.addrs)) if len(w.addrs) < 2_000 else \
+            sorted(w.ids[a] for a in ref.nonfrontier)
+        for x in wanted:
+            assert materialized(w, base_orbit(w, x)) == ref.aorb0_w(w.addrs[x]), w.addrs[x]
         points += len(ref.nonfrontier)
     assert points > 30_000
 
