@@ -14,7 +14,11 @@ reference the generator is tested against.
 
 The census builds one :class:`Analysis` per system (at least one point),
 runs the named theorem-level checks on it, and reports pass/fail counts
-with replayable counterexamples.
+with replayable counterexamples.  What the checks read from a system's
+space and trace partition, and not from its map, is one :class:`Facts`
+per (space, trace) in a run, shared by its systems with the verdicts of
+the ``SHARED_CHECKS``; ``stabilize``, the oracle and all that reads the
+map stay per system.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from typing import Callable, Iterator
 from .decomposition import (
     DegreeTrace,
     Partition,
-    QuotientResult,
     aorb0_masks,
     class_invariant,
     generated_partition,
@@ -60,6 +63,7 @@ from .topology import (
 
 LABELED_LIMIT = 5
 ISO_LIMIT = 6
+JOBS_LIMIT = 64
 SUBSET_SEED = 20260809
 
 _POINT_NAMES = "abcdefgh"
@@ -230,11 +234,7 @@ def random_systems(n: int, count: int, seed: int = SUBSET_SEED) -> list[FiniteSy
             i, j = rng.randrange(n), rng.randrange(n)
             up[i] |= 1 << j
         space = space_from_up_masks(names, up)
-        maps = []
-        for m in monotone_maps(space):
-            maps.append(m)
-            if len(maps) >= 64:
-                break
+        maps = list(itertools.islice(monotone_maps(space), 64))
         out.append(FiniteSystem(space, rng.choice(maps)))
     return out
 
@@ -287,19 +287,15 @@ class CensusReport:
 
 
 @dataclass(frozen=True)
-class Analysis:
-    """Everything the checks read about one system, each derived once; the
-    per-system tables, the quotient and the finest absolutely stable
-    partition on first use."""
+class Facts:
+    """What the checks read from a space and a trace partition, not from a
+    map, each derived on first use, and the ``SHARED_CHECKS`` verdicts.
+    ``sys`` is the first system of the (space, trace); only the invariance
+    guard of ``quotient``, which all of its systems pass, reads its map."""
 
     sys: FiniteSystem
     trace: DegreeTrace
-    oracle: Partition
-
-    @functools.cached_property
-    def aorb0(self) -> tuple[int, ...]:
-        """``aorb0_masks`` of the system."""
-        return aorb0_masks(self.sys)
+    verdicts: dict[str, str | None] = field(default_factory=dict)
 
     @functools.cached_property
     def values(self) -> list[list[int]]:
@@ -317,6 +313,35 @@ class Analysis:
         blocks, so ``succ[-1]`` are the orbits at the stationary partition.
         """
         return tuple(tuple(v[1 << i] for i in range(self.sys.n)) for v in self.values)
+
+    @functools.cached_property
+    def succ_reference(self) -> tuple[int, ...]:
+        return reference_intersection(self.sys, "succ", self.trace.stationary_partition)
+
+    @functools.cached_property
+    def quotient_space(self) -> FiniteSpace:
+        return quotient(self.sys, self.trace.stationary_partition).quotient.space
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Everything the checks read about one system, each derived once: the
+    ``facts`` of its space and trace (fresh when not given), and on first
+    use the tables that read the map and the finest stable partition."""
+
+    sys: FiniteSystem
+    trace: DegreeTrace
+    oracle: Partition
+    facts: Facts = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.facts is None:
+            object.__setattr__(self, "facts", Facts(self.sys, self.trace))
+
+    @functools.cached_property
+    def aorb0(self) -> tuple[int, ...]:
+        """``aorb0_masks`` of the system."""
+        return aorb0_masks(self.sys)
 
     @functools.cached_property
     def prolongations(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -339,19 +364,26 @@ class Analysis:
     @functools.cached_property
     def stability(self) -> StabilityTable:
         """Plain stability and the per-degree verdicts of each nonempty mask."""
-        return stability_table(self.sys, self.trace, self.values)
-
-    @functools.cached_property
-    def quotient(self) -> QuotientResult:
-        return quotient(self.sys, self.trace.stationary_partition)
+        return stability_table(self.sys, self.trace, self.facts.values)
 
     @functools.cached_property
     def finest(self) -> Partition:
         return finest_abs_stable_partition(self.sys, stability=self.stability)
 
 
-def analyze(sys: FiniteSystem) -> Analysis:
-    return Analysis(sys, stabilize(sys), oracle_partition(sys))
+def analyze(sys: FiniteSystem, memo: dict | None = None) -> Analysis:
+    """The analysis of one system, with the facts of its trace in ``memo``
+    if given: one space's facts by trace, emptied by a system of another
+    space, since a census enumerates each space's systems together."""
+    trace = stabilize(sys)
+    if memo is None:
+        return Analysis(sys, trace, oracle_partition(sys))
+    if memo.get("space") is not sys.space:
+        memo.clear()
+        memo["space"] = sys.space
+    key = tuple((d, p.classes) for d, p in trace.entries)
+    facts = memo.setdefault(key, Facts(sys, trace))
+    return Analysis(sys, facts.trace, oracle_partition(sys), facts)
 
 
 def check_oracle_equivalence(a: Analysis) -> str | None:
@@ -361,7 +393,7 @@ def check_oracle_equivalence(a: Analysis) -> str | None:
 
 
 def check_quotient_discrete(a: Analysis) -> str | None:
-    if not is_discrete(a.quotient.quotient.space):
+    if not is_discrete(a.facts.quotient_space):
         return "quotient by the stationary partition is not discrete"
     if not a.trace.stationary_partition.same_blocks(a.oracle):
         return "stationary classes are not the maximal level sets"
@@ -375,18 +407,18 @@ def check_stabilization_zero(a: Analysis) -> str | None:
     if a.trace.stabilization_degree.as_int() != 0:
         return f"stabilized at degree {a.trace.stabilization_degree}"
     base = a.trace.entries[0][1]
-    if not generated_partition(a.sys.space, list(a.succ[-1])).same_blocks(base):
+    if not generated_partition(a.sys.space, list(a.facts.succ[-1])).same_blocks(base):
         return "the successor orbits at degree 0 do not regenerate the base partition"
     return None
 
 
 def check_definition_direct(a: Analysis) -> str | None:
     base = reference_intersection(a.sys, "base")
-    succ = reference_intersection(a.sys, "succ", a.trace.stationary_partition)
+    succ = a.facts.succ_reference
     for i, x in enumerate(a.sys.space.points):
         if a.aorb0[i] != base[i]:
             return f"aorb0({x}) differs from the definition-direct intersection"
-        if a.succ[-1][i] != succ[i]:
+        if a.facts.succ[-1][i] != succ[i]:
             return f"aorb_succ({x}) differs from the definition-direct intersection"
     return None
 
@@ -439,7 +471,7 @@ def check_quotient_neighborhood(a: Analysis) -> str | None:
     of a class in the quotient gives the successor-degree orbit."""
     sys = a.sys
     p = a.trace.stationary_partition
-    qspace = a.quotient.quotient.space
+    qspace = a.facts.quotient_space
     closure = qspace.closure_table
     closed = [cand for cand in range(1 << qspace.n) if closure[cand] == cand]
     for x, c in enumerate(p.class_of):
@@ -450,7 +482,7 @@ def check_quotient_neighborhood(a: Analysis) -> str | None:
         pulled = 0
         for j in _iter_bits(acc):  # quotient point j is class j of p
             pulled |= p.classes[j]
-        if pulled != a.succ[-1][x]:
+        if pulled != a.facts.succ[-1][x]:
             return f"quotient-neighborhood identity fails at {sys.space.points[x]}"
     return None
 
@@ -515,7 +547,7 @@ def check_containment_lemma(a: Analysis) -> str | None:
         for d, stable in enumerate(verdicts):
             if stable:
                 for i in _iter_bits(mask):
-                    if a.succ[d][i] & ~mask:
+                    if a.facts.succ[d][i] & ~mask:
                         return (
                             f"degree-{d} stable set {sys.space.names(mask)} does "
                             f"not contain the degree-{d + 1} orbit of "
@@ -604,18 +636,31 @@ REPORTED_CHECKS: dict[str, Callable[[Analysis], str | None]] = {
 
 ALL_CHECK_NAMES = tuple(ASSERTED_CHECKS) + tuple(REPORTED_CHECKS)
 
+# Checks that read only an analysis's facts, space and trace: each runs at
+# the first system of its facts, and the others reuse its verdict.
+SHARED_CHECKS = ("stabilization-degree-0", "saturation-equivalences", "quotient-neighborhood")
 
-def evaluate_system(checks: tuple[str, ...], sys: FiniteSystem
+
+def _run_check(name: str, a: Analysis) -> str | None:
+    check = ASSERTED_CHECKS.get(name) or REPORTED_CHECKS[name]
+    if name not in SHARED_CHECKS:
+        return check(a)
+    if name not in a.facts.verdicts:
+        a.facts.verdicts[name] = check(a)
+    return a.facts.verdicts[name]
+
+
+def evaluate_system(checks: tuple[str, ...], sys: FiniteSystem, memo: dict | None = None
                     ) -> tuple[dict[str, str | None], int, bool, FiniteSystem | None]:
-    """Analyze one system and run the named checks, looked up at call time.
+    """Analyze one system, with the facts in ``memo`` if given, and run the
+    named checks, looked up at call time.
 
     Returns the verdict per check (None on a pass), the stabilization
     degree, the ergodic flag, and the system itself when a check failed, so
     that a streamed census can keep it as a counterexample.
     """
-    a = analyze(sys)
-    verdicts = {name: (ASSERTED_CHECKS.get(name) or REPORTED_CHECKS[name])(a)
-                for name in checks}
+    a = analyze(sys, memo)
+    verdicts = {name: _run_check(name, a) for name in checks}
     failed = any(msg is not None for msg in verdicts.values())
     return (verdicts, a.trace.stabilization_degree.as_int(),
             a.trace.stationary_partition.num_classes == 1, sys if failed else None)
@@ -623,9 +668,9 @@ def evaluate_system(checks: tuple[str, ...], sys: FiniteSystem
 
 def _evaluate_all(checks: tuple[str, ...], systems: Iterator[FiniteSystem],
                   jobs: int) -> Iterator[tuple]:
-    """``evaluate_system`` on each system, in order; in ``jobs`` worker
-    processes when ``jobs`` is above 1, else in this one."""
-    run = functools.partial(evaluate_system, checks)
+    """``evaluate_system`` on each system, in order, with a new facts memo;
+    in ``jobs`` worker processes, a memo copy per chunk, when ``jobs`` > 1."""
+    run = functools.partial(evaluate_system, checks, memo={})
     if jobs > 1:
         import multiprocessing as mp
 
@@ -645,6 +690,8 @@ def run_census(n: int, checks: tuple[str, ...] | None = None,
     if unknown:
         raise UnknownNameError(f"unknown checks {unknown}")
     systems = enumerate_systems(n, up_to_iso)
+    if not 1 <= jobs <= JOBS_LIMIT:
+        raise SizeLimitError(f"jobs={jobs} is outside the range 1..{JOBS_LIMIT}")
     outcomes = {name: CheckOutcome(name) for name in checks}
     histogram: dict[int, int] = {}
     ergodic_count = num_systems = 0

@@ -334,6 +334,8 @@ def cmd_window(args) -> int:
 def cmd_census(args) -> int:
     from . import census as census_mod
 
+    if args.counterexample_dir == "":  # not Path(""), the working directory
+        raise OSError("--counterexample-dir: an empty value names no directory")
     if args.check == "all":
         checks = census_mod.ALL_CHECK_NAMES
     else:
@@ -342,7 +344,7 @@ def cmd_census(args) -> int:
         args.points, checks=checks, up_to_iso=args.up_to_iso, jobs=args.jobs
     )
     _emit(report.to_json(), args)
-    if args.counterexample_dir:
+    if args.counterexample_dir is not None:
         outdir = Path(args.counterexample_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         for name, outcome in report.checks.items():

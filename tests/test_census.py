@@ -14,9 +14,10 @@ from fixfactor.census import (
     run_census,
 )
 from fixfactor.cli import main
-from fixfactor.decomposition import Partition
+from fixfactor.decomposition import Partition, stabilize
 from fixfactor.errors import SizeLimitError, UnknownNameError
 from fixfactor.systems import sierpinski
+from fixfactor.topology import system_payload
 from references import count_preorders_bruteforce, reference_monotone_maps
 
 
@@ -210,9 +211,40 @@ def failed_checks(report):
     return {name for name, c in report.checks.items() if c.failed} - set(census.REPORTED_CHECKS)
 
 
-def test_guards_fire_on_an_aorb0_without_closure(monkeypatch):
+def aorb0_without_closure(monkeypatch):
     monkeypatch.setattr(census, "aorb0_masks",
                         lambda sys_: tuple(sys_.map.orbit_mask(u) for u in sys_.space.up))
+
+
+def value_table_without_saturation(monkeypatch):
+    monkeypatch.setattr(census, "degree_value_table",
+                        lambda sys_, p: [sys_.space.closure_table[u]
+                                         for u in sys_.space.open_table])
+
+
+def core_without_the_orbit(monkeypatch):
+    # the core table without the orbit is the least open superset
+    monkeypatch.setattr(census, "invariant_core_table",
+                        lambda sys_: sys_.space.open_table)
+
+
+def saturation_to_everything(monkeypatch):
+    # The mutant lives for the duration of the check only: saturating to the
+    # whole space everywhere would also merge the trace into one class, whose
+    # saturation is the whole space.
+    real = census.check_saturation_equivalences
+
+    def with_full_saturation(a):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Partition, "saturate_mask", lambda self, mask: self.space.full_mask)
+            return real(a)
+
+    monkeypatch.setitem(census.ASSERTED_CHECKS, "saturation-equivalences",
+                        with_full_saturation)
+
+
+def test_guards_fire_on_an_aorb0_without_closure(monkeypatch):
+    aorb0_without_closure(monkeypatch)
     report = run_census(3, checks=census.ALL_CHECK_NAMES)
     assert failed_checks(report) == {"definition-direct", "prolongation-identities"}
 
@@ -227,36 +259,88 @@ def test_guards_fire_on_an_aorb_succ_without_saturation(monkeypatch):
     # every clopen invariant set absolutely stable, saturated or not (a
     # fixed isolated point whose base class is larger, say), and the
     # containment lemma sees the base class stick out.
-    monkeypatch.setattr(census, "degree_value_table",
-                        lambda sys_, p: [sys_.space.closure_table[u]
-                                         for u in sys_.space.open_table])
+    value_table_without_saturation(monkeypatch)
     report = run_census(3, checks=census.ALL_CHECK_NAMES)
     assert failed_checks(report) == {"definition-direct", "quotient-neighborhood",
                                      "stabilization-degree-0", "containment-lemma"}
 
 
 def test_guard_fires_on_an_invariant_core_without_the_orbit(monkeypatch):
-    # the core table without the orbit is the least open superset
-    monkeypatch.setattr(census, "invariant_core_table",
-                        lambda sys_: sys_.space.open_table)
+    core_without_the_orbit(monkeypatch)
     report = run_census(3, checks=census.ALL_CHECK_NAMES)
     assert failed_checks(report) == {"invariant-core-reference"}
 
 
 def test_saturation_equivalences_fire_on_a_saturation_to_everything(monkeypatch):
-    # The mutant lives for the duration of the check only: saturating to the
-    # whole space everywhere would also merge the trace into one class, whose
-    # saturation is the whole space.  Its three verdicts still agree with one
-    # another, so only the scan of the classes that meet S can catch it.
-    real = census.check_saturation_equivalences
-
-    def with_full_saturation(a):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Partition, "saturate_mask", lambda self, mask: self.space.full_mask)
-            return real(a)
-
-    monkeypatch.setitem(census.ASSERTED_CHECKS, "saturation-equivalences",
-                        with_full_saturation)
+    # The three verdicts of the mutant still agree with one another, so only
+    # the scan of the classes that meet S can catch it.
+    saturation_to_everything(monkeypatch)
     report = run_census(3, checks=("saturation-equivalences",))
     assert report.checks["saturation-equivalences"].failed > 0
     assert census.census_failures(report) == ["saturation-equivalences"]
+
+
+# The census derives what the checks read from a space and a trace
+# partition once per (space, trace) and shares it, with the verdicts of
+# the checks that read nothing else.  Sharing must change no verdict.
+
+def fresh_facts(sys_):
+    """The shared facts of one system's own, unshared analysis, with the
+    verdicts of the shared checks on it."""
+    a = census.analyze(sys_)
+    f = a.facts
+    verdicts = {name: census.ASSERTED_CHECKS[name](a) for name in sorted(census.SHARED_CHECKS)}
+    return f.values, f.succ, f.succ_reference, f.quotient_space, verdicts
+
+
+@pytest.mark.parametrize("n, up_to_iso, keys", [(4, True, 56), (3, False, 42)])
+def test_facts_of_a_key_are_the_same_at_its_first_and_last_system(n, up_to_iso, keys):
+    first, last = {}, {}
+    for sys_ in enumerate_systems(n, up_to_iso):
+        trace = stabilize(sys_)
+        key = (sys_.space.up, tuple((d, p.classes) for d, p in trace.entries))
+        first.setdefault(key, sys_)
+        last[key] = sys_
+    assert len(first) == keys
+    assert sum(first[k] is not last[k] for k in first) > keys // 2
+    for key in first:
+        assert fresh_facts(first[key]) == fresh_facts(last[key]), key
+
+
+def per_system_census(n, checks):
+    """Each check's pass and fail counts and kept counterexamples, from a
+    fresh, unshared analysis of every system."""
+    out = {name: [0, 0, []] for name in checks}
+    for sys_ in enumerate_systems(n):
+        a = census.analyze(sys_)
+        for name in checks:
+            msg = (census.ASSERTED_CHECKS.get(name) or census.REPORTED_CHECKS[name])(a)
+            counts = out[name]
+            counts[msg is not None] += 1
+            if msg is not None and len(counts[2]) < census.KEPT_COUNTEREXAMPLES:
+                counts[2].append({"system": system_payload(sys_), "reason": msg})
+    return out
+
+
+@pytest.mark.parametrize("mutant", [
+    None,
+    aorb0_without_closure,
+    value_table_without_saturation,
+    core_without_the_orbit,
+    saturation_to_everything,
+])
+def test_shared_facts_give_the_verdicts_of_a_fresh_analysis(monkeypatch, mutant):
+    if mutant is not None:
+        mutant(monkeypatch)
+    checks = census.ALL_CHECK_NAMES
+    report = run_census(3, checks=checks)
+    got = {name: [c.passed, c.failed, c.counterexamples] for name, c in report.checks.items()}
+    assert got == per_system_census(3, checks)
+
+
+def test_no_facts_outlive_a_run(monkeypatch):
+    assert census_failures(run_census(3, checks=census.ALL_CHECK_NAMES)) == []
+    value_table_without_saturation(monkeypatch)
+    report = run_census(3, checks=census.ALL_CHECK_NAMES)
+    assert failed_checks(report) == {"definition-direct", "quotient-neighborhood",
+                                     "stabilization-degree-0", "containment-lemma"}

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fixfactor
-from fixfactor.census import enumerate_systems, random_systems
+from fixfactor.census import JOBS_LIMIT, enumerate_systems, random_systems, run_census
 from fixfactor.cli import (
     _covering_pairs,
     load_system,
@@ -295,6 +296,25 @@ def test_census_rejects_jobs_below_one(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_census_refuses_jobs_above_the_limit_before_any_process_starts(capsys, monkeypatch):
+    # a patched Pool raises, so this test itself can start no process
+    class PoolStarted(Exception):
+        pass
+
+    def no_pool(*args, **kwargs):
+        raise PoolStarted
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    too_many = JOBS_LIMIT + 1
+    code = main(["census", "--points", "1", "--jobs", str(too_many)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == \
+        f"error[E_SIZE]: jobs={too_many} is outside the range 1..{JOBS_LIMIT}\n"
+    with pytest.raises(PoolStarted):  # the limit itself is allowed
+        run_census(1, jobs=JOBS_LIMIT)
+
+
 @pytest.mark.parametrize("points", ["0", "-1"])
 def test_census_rejects_points_below_one(points):
     proc = run_module("census", "--points", points)
@@ -444,12 +464,18 @@ def test_empty_locator_is_a_locator_error(capsys):
 @pytest.mark.parametrize("argv", [
     ("decompose", "{swap}", "--out", ""),
     ("window", "strand", "--system-out", ""),
+    # the 2-point census has counterexamples to write
+    ("census", "--points", "2", "--check", "all", "--counterexample-dir", ""),
 ])
-def test_empty_output_path_is_an_io_error(capsys, swap_file, argv):
+def test_empty_output_path_is_an_io_error(capsys, monkeypatch, tmp_path, swap_file, argv):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     code = main([a.format(swap=swap_file) for a in argv])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error[E_IO]: ")
+    assert list(cwd.iterdir()) == []
 
 
 # ------------------------------------------------ the parser is built once

@@ -109,7 +109,7 @@ def test_stability_table_matches_the_loops_at_every_partition():
                 trace = DegreeTrace(((zero, p), (one, p)), zero)
                 assert stability_table(sys_, trace) == \
                     reference_stability_table(sys_, trace), rgs
-                assert Analysis(sys_, trace, p).succ == \
+                assert Analysis(sys_, trace, p).facts.succ == \
                     (tuple(aorb_succ_mask(sys_, p, i) for i in range(n)),), rgs
 
 
@@ -119,7 +119,7 @@ def test_census_reads_what_the_loops_compute():
     for sys_ in LABELED + RANDOM:
         a = analyze(sys_)
         points = range(sys_.n)
-        for (_, p), succ in zip(a.trace.entries, a.succ):
+        for (_, p), succ in zip(a.trace.entries, a.facts.succ):
             assert succ == tuple(aorb_succ_mask(sys_, p, i) for i in points)
         names = sys_.space.points
         assert a.prolongations == (tuple(prolongation_D1(sys_, x).mask for x in names),
