@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -64,7 +63,6 @@ from .topology import (
 LABELED_LIMIT = 5
 ISO_LIMIT = 6
 JOBS_LIMIT = 64
-SUBSET_SEED = 20260809
 
 _POINT_NAMES = "abcdefgh"
 
@@ -217,26 +215,6 @@ def enumerate_systems(n: int, up_to_iso: bool = False) -> Iterator[FiniteSystem]
                     yield FiniteSystem(space, m)
 
     return systems()
-
-
-def random_systems(n: int, count: int, seed: int = SUBSET_SEED) -> list[FiniteSystem]:
-    """Deterministic pseudo-random systems (for spot checks beyond census
-    size), on 1 to 8 points, one point name per letter of ``_POINT_NAMES``."""
-    if not 1 <= n <= len(_POINT_NAMES):
-        raise SizeLimitError(
-            f"n={n} is outside the random system range 1..{len(_POINT_NAMES)}")
-    rng = random.Random(seed)
-    names = tuple(_POINT_NAMES[:n])
-    out = []
-    while len(out) < count:
-        up = [1 << i for i in range(n)]
-        for _ in range(rng.randrange(0, 2 * n)):
-            i, j = rng.randrange(n), rng.randrange(n)
-            up[i] |= 1 << j
-        space = space_from_up_masks(names, up)
-        maps = list(itertools.islice(monotone_maps(space), 64))
-        out.append(FiniteSystem(space, rng.choice(maps)))
-    return out
 
 
 # Counterexamples per check: a report emits the first REPORTED ones,

@@ -336,6 +336,13 @@ def cmd_census(args) -> int:
 
     if args.counterexample_dir == "":  # not Path(""), the working directory
         raise OSError("--counterexample-dir: an empty value names no directory")
+    outdir = None if args.counterexample_dir is None else Path(args.counterexample_dir)
+    if outdir is not None:
+        # refused before the run, but made only after it, so that a run
+        # refused for its other arguments creates nothing
+        for path in (outdir, *outdir.parents):
+            if path.exists() and not path.is_dir():
+                raise OSError(f"--counterexample-dir: {path} is not a directory")
     if args.check == "all":
         checks = census_mod.ALL_CHECK_NAMES
     else:
@@ -344,8 +351,7 @@ def cmd_census(args) -> int:
         args.points, checks=checks, up_to_iso=args.up_to_iso, jobs=args.jobs
     )
     _emit(report.to_json(), args)
-    if args.counterexample_dir is not None:
-        outdir = Path(args.counterexample_dir)
+    if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
         for name, outcome in report.checks.items():
             for i, ce in enumerate(outcome.counterexamples):

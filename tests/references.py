@@ -1,14 +1,17 @@
 """Definition-direct and superseded implementations that the tests keep as
 references for the code that replaced them."""
 
+import itertools
+import random
 import re
 
+from fixfactor.census import _POINT_NAMES, monotone_maps
 from fixfactor.decomposition import Partition
 from fixfactor.errors import ContinuityError, InternalError, LocatorError, SizeLimitError
 from fixfactor.ladder.sets import StrandProfile, SymbolicSet, ladder_aorb0_addr
 from fixfactor.ladder.space import TOP, base_addr, child_term
 from fixfactor.ordinals import ZERO
-from fixfactor.topology import _iter_bits
+from fixfactor.topology import FiniteSystem, _iter_bits, space_from_up_masks
 
 
 def count_preorders_bruteforce(n: int) -> int:
@@ -103,6 +106,29 @@ def random_generator_up_masks(rng, n: int) -> list[int]:
     for i, j in pairs:
         up[i] |= 1 << j
     return up
+
+
+SUBSET_SEED = 20260809
+
+
+def random_systems(n: int, count: int, seed: int = SUBSET_SEED) -> list[FiniteSystem]:
+    """Deterministic pseudo-random systems (for spot checks beyond census
+    size), on 1 to 8 points, one point name per letter of ``_POINT_NAMES``."""
+    if not 1 <= n <= len(_POINT_NAMES):
+        raise SizeLimitError(
+            f"n={n} is outside the random system range 1..{len(_POINT_NAMES)}")
+    rng = random.Random(seed)
+    names = tuple(_POINT_NAMES[:n])
+    out = []
+    while len(out) < count:
+        up = [1 << i for i in range(n)]
+        for _ in range(rng.randrange(0, 2 * n)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            up[i] |= 1 << j
+        space = space_from_up_masks(names, up)
+        maps = list(itertools.islice(monotone_maps(space), 64))
+        out.append(FiniteSystem(space, rng.choice(maps)))
+    return out
 
 
 def per_class_certificate(sys_, p) -> bool:

@@ -14,7 +14,6 @@ from fixfactor.census import (
     ASSERTED_CHECKS,
     analyze,
     enumerate_systems,
-    random_systems,
 )
 from fixfactor.ladder import (
     build_ladder,
@@ -25,6 +24,7 @@ from fixfactor.ladder import (
 )
 from fixfactor.ladder.window import window_answers_stable
 from fixfactor.ordinals import OMEGA, OrdinalCNF, parse_ordinal
+from references import random_systems
 
 MAX_N = 4
 W2 = parse_ordinal("w*2")

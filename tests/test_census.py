@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 
 import pytest
@@ -10,15 +9,14 @@ from fixfactor.census import (
     enumerate_preorders,
     enumerate_systems,
     monotone_maps,
-    random_systems,
     run_census,
 )
-from fixfactor.cli import main
 from fixfactor.decomposition import Partition, stabilize
 from fixfactor.errors import SizeLimitError, UnknownNameError
 from fixfactor.systems import sierpinski
 from fixfactor.topology import system_payload
-from references import count_preorders_bruteforce, reference_monotone_maps
+import pins
+from references import count_preorders_bruteforce, random_systems, reference_monotone_maps
 
 
 def test_preorder_counts_match_known_sequence():
@@ -116,32 +114,14 @@ def test_census_n2_all_asserted_pass():
     assert report.stabilization_histogram == {0: report.num_systems}
 
 
-# sha256 of the `census --points 3 --check all` report, pinned so that any
-# change to verdicts, histogram, witnesses or counterexamples shows up
-CENSUS_3_SHA256 = "22ca2a47538b70fd5b67deebda6a3076bbf9cd5a1ad99cbce3401f847454efe5"
-# ... and of `census --points N --up-to-iso --check all`
-CENSUS_ISO_SHA256 = {
-    3: "0f6ad1609bbe6f5a3a6197ca528fd55c347dbff8b8ac4d62620037e5216af1c0",
-    4: "4677bcd33a576a7368fa12661264d2c65aedff05c0bf4bcfa3cc044b8bbde1ff",
-}
+def test_census_deterministic_across_jobs():
+    assert pins.failures(pins.ROW["census 3 --jobs 1"]) == []
+    assert pins.failures(pins.ROW["census 3 --jobs 2"]) == []
 
 
-def test_census_deterministic_across_jobs(tmp_path):
-    for jobs in ("1", "2"):
-        out = tmp_path / f"census-{jobs}.json"
-        code = main(["census", "--points", "3", "--check", "all",
-                     "--jobs", jobs, "--out", str(out)])
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_3_SHA256
-
-
-@pytest.mark.parametrize("n", sorted(CENSUS_ISO_SHA256))
-def test_census_up_to_iso_report_pinned(tmp_path, n):
-    out = tmp_path / "census.json"
-    code = main(["census", "--points", str(n), "--up-to-iso", "--check", "all",
-                 "--out", str(out)])
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_ISO_SHA256[n]
+@pytest.mark.parametrize("n", sorted(pins.CENSUS_ISO_SHA256))
+def test_census_up_to_iso_report_pinned(n):
+    assert pins.failures(pins.ROW[f"census {n} --up-to-iso"]) == []
 
 
 def test_census_unknown_check_rejected():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fixfactor
-from fixfactor.census import JOBS_LIMIT, enumerate_systems, random_systems, run_census
+from fixfactor.census import JOBS_LIMIT, enumerate_systems, run_census
 from fixfactor.cli import (
     _covering_pairs,
     load_system,
@@ -22,7 +22,7 @@ from fixfactor.cli import (
 from fixfactor.errors import FormatError
 from fixfactor.systems import discrete_swap_plus_fixed
 from fixfactor.topology import system_payload
-from references import covering_pairs
+from references import covering_pairs, random_systems
 
 
 @pytest.fixture
@@ -476,6 +476,24 @@ def test_empty_output_path_is_an_io_error(capsys, monkeypatch, tmp_path, swap_fi
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error[E_IO]: ")
     assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("--counterexample-dir", "afile"), "error[E_IO]: --counterexample-dir: afile is not"),
+    (("--counterexample-dir", "afile", "--out", "r.json"), "error[E_IO]: "),
+    (("--counterexample-dir", "afile/sub", "--out", "r.json"), "error[E_IO]: "),
+    # a run refused for its size makes no directory either
+    (("--points", "9", "--counterexample-dir", "fresh", "--out", "r.json"), "error[E_SIZE]: "),
+])
+def test_census_refuses_a_counterexample_dir_before_the_run(capsys, monkeypatch, tmp_path,
+                                                            argv, err):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    code = main(["census", "--points", "2", "--check", "all", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(err)
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 # ------------------------------------------------ the parser is built once

@@ -1,12 +1,11 @@
 import collections
-import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from fixfactor.census import enumerate_systems, random_systems
+from fixfactor.census import enumerate_systems
 from fixfactor.cli import main
 import fixfactor.decomposition as dec
 from fixfactor.decomposition import (
@@ -53,7 +52,8 @@ from fixfactor.topology import (
     space_from_up_masks,
     system_payload,
 )
-from references import one_class, per_class_certificate, random_generator_up_masks
+import pins
+from references import one_class, per_class_certificate, random_generator_up_masks, random_systems
 from set_partitions import iter_partitions
 
 
@@ -606,18 +606,11 @@ def test_aorb0_masks_settle_a_cycle_as_a_whole():
     assert sorb0_partition(sys_).num_classes == 6
 
 
-# `decompose` of the 160-point layered system on TAIL_INTO_CYCLE: no
-# exported window dump has a cycle longer than one point
-TAIL_INTO_CYCLE_DECOMPOSE_SHA256 = \
-    "837db6deda86fbe29b5bcb08e77315ff321d0bf2b5bc9765ce8f035e03027ff6"
-
-
 def test_decompose_of_a_tail_into_a_long_cycle_pinned(tmp_path):
     dump, out = tmp_path / "system.json", tmp_path / "decompose.json"
     dump.write_text(json.dumps(system_payload(layered_system(TAIL_INTO_CYCLE, 0))))
     assert main(["decompose", str(dump), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        TAIL_INTO_CYCLE_DECOMPOSE_SHA256
+    assert pins.sha256(out) == pins.TAIL_INTO_CYCLE_DECOMPOSE_SHA256
 
 
 # ---------- per-point enumerations, the references for the all-points ones

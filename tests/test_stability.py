@@ -1,6 +1,6 @@
 import pytest
 
-from fixfactor.census import enumerate_systems, random_systems
+from fixfactor.census import enumerate_systems
 from fixfactor.decomposition import REFERENCE_BOUND, Partition, oracle_partition, stabilize
 from fixfactor.errors import CoverError, InternalError, OrdinalError, SizeLimitError
 from fixfactor.stability import (
@@ -21,6 +21,7 @@ from fixfactor.systems import (
     sierpinski,
 )
 from fixfactor.topology import PointSet, build_system
+from references import random_systems
 from set_partitions import iter_partitions
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fixfactor.census import Analysis, analyze, enumerate_systems, random_systems
+from fixfactor.census import Analysis, analyze, enumerate_systems
 from fixfactor.decomposition import (
     REFERENCE_BOUND,
     DegreeTrace,
@@ -23,6 +23,7 @@ from fixfactor.stability import (
 )
 from fixfactor.systems import discrete_cycle
 from fixfactor.topology import union_table
+from references import random_systems
 from set_partitions import iter_partitions
 
 LABELED = [s for n in range(1, 5) for s in enumerate_systems(n)]

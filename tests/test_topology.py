@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixfactor.census import enumerate_preorders, enumerate_systems, random_systems
+from fixfactor.census import enumerate_preorders, enumerate_systems
 from fixfactor.decomposition import Partition, comparability_partition
 from fixfactor.errors import ContinuityError, UnknownNameError
 from fixfactor.systems import chain, sierpinski
@@ -22,6 +22,7 @@ from references import (
     per_point_specialization_pairs,
     per_point_validate_map,
     random_generator_up_masks,
+    random_systems,
 )
 
 
