@@ -32,14 +32,23 @@ invariance, monotone coarsening and agreement with the overlap-generated
 equivalence of the recomputed orbits, where an orbit that holds a suffix
 holds the strand's A.  One pass over the non-frontier points audits each
 claim against its orbit and merges the orbit into that equivalence at
-once.  Only degree 0 of the trace is keyed point by point: a strand node
-is merged at every degree, so a strand's points share its key, and later
-degrees key each strand once.  Every check names what it finds in id
-order.  The exported finite system puts each limit point into the
-closure of every point of its minimal-neighborhood stub, the same stubs
-the audit uses, and freezes the map at the frontier so that it parses
-and validates; it is an audit artifact, not an input for the finite
-stabilization pipeline, which would collapse any truncation to degree 0.
+once.  An orbit point's claim is normally its strand's template, the A
+and the forward tail from the point.  Off the frontier every orbit point
+of a strand has the orbit closures[A] plus the suffix from it, and the A
+is fixed, so a template claim's finds and its orbit's limit points are
+the same at every point of the strand: the strand's first point whose
+claim is the template is audited and merged in full, and each later one,
+matched to the template by comparing address tuples, takes its finds
+under its own name and joins its overlap block.  Every claim is still
+computed point by point.  Only degree 0 of the trace is keyed point by
+point: a strand node is merged at every degree, so a strand's points
+share its key, and later degrees key each strand once.  Every check
+names what it finds in id order.  The exported finite system puts each
+limit point into the closure of every point of its minimal-neighborhood
+stub, the same stubs the audit uses, and freezes the map at the frontier
+so that it parses and validates; it is an audit artifact, not an input
+for the finite stabilization pipeline, which would collapse any
+truncation to degree 0.
 """
 
 from __future__ import annotations
@@ -281,13 +290,14 @@ ORBIT_CHECKS = (
 
 
 def check_orbit_set(win: Window, x: int, claimed: SymbolicSet, orbit: tuple,
-                    report: WindowCheckReport) -> None:
+                    report: WindowCheckReport) -> list[tuple[int, int]]:
     """Necessary-condition audit of the base-degree orbit claim of point x
     against its orbit recomputed on the window, both in interval form.  A
     suffix's images leave it only from z = +cut, on the frontier, and its
     closure is the limit part of its first id's orbit, so the checks read
     single and limit points, and ids of a suffix only where two differ.
-    They name their finds in ``ORBIT_CHECKS`` order, each in id order."""
+    They name their finds in ``ORBIT_CHECKS`` order, each in id order, and
+    return them as (check, id) pairs in that order."""
     phi, frontier, witnesses, stubs, closures, _ = win.index
     heads, end = win.heads, 2 * win.strand_cut + 1
     pts, tails = _decode(claimed, win)
@@ -317,11 +327,30 @@ def check_orbit_set(win: Window, x: int, claimed: SymbolicSet, orbit: tuple,
             differ.update(range(min(s, t), max(s, t)))
         found.update((4, y) for y in differ if not frontier[y]
                      and _holds(heads, pts, tails, y) != _holds(heads, opts, otails, y))
-    if found:
+    finds = sorted(found)
+    _report(win, x, finds, report)
+    return finds
+
+
+def _report(win: Window, x: int, finds: list[tuple[int, int]],
+            report: WindowCheckReport) -> None:
+    """Name the finds of the audit of point x's claim."""
+    if finds:
         render, addrs = win.space.render, win.addrs
-        for k, y in sorted(found):
-            report.violations.append(f"aorb0({render(addrs[x])}): "
+        name = render(addrs[x])
+        for k, y in finds:
+            report.violations.append(f"aorb0({name}): "
                                      f"{ORBIT_CHECKS[k].format(render(addrs[y]))}")
+
+
+def _is_template(claimed: SymbolicSet, head: Addr, addr: Addr) -> bool:
+    """Whether the claim of orbit point ``addr`` is its strand's template:
+    the strand's A, at ``head``, and the forward tail from the point.  The
+    addresses are compared as tuples, so nothing is hashed or looked up."""
+    if len(claimed.pts) != 1 or len(claimed.strands) != 1:
+        return False
+    (p,), ((path, prof),) = claimed.pts, claimed.strands.items()
+    return prof.start == addr[-1][1] and p == head and path == addr[:-1]
 
 
 def check_trace(win: Window, trace: LadderTrace,
@@ -377,7 +406,15 @@ def window_check(space: LadderSpace, win: Window,
                  trace: LadderTrace) -> WindowCheckReport:
     """Audit the claim of every non-frontier point with ``check_orbit_set``
     against its ``base_orbit``, every degree of the trace with
-    ``check_trace``, and degree 0 against the overlap equivalence."""
+    ``check_trace``, and degree 0 against the overlap equivalence.
+
+    A strand's later orbit points reuse a verdict: where a point's claim is
+    its strand's template, {A} and the forward tail from the point, and an
+    earlier point of the strand had that claim, the point takes that
+    point's finds and overlap block.  This rests on every non-frontier
+    orbit point x of the strand with A at a having the orbit
+    ``(closures[a], {a: x})`` and on the A being fixed (checked once per
+    strand): the checks then find the same ids at every x."""
     report = WindowCheckReport(str(space.term), (win.family_cut, win.strand_cut), 0, [])
     # validated once here, per strand, since the orbits and key walk trust them
     for i in sorted(set(win.heads)):
@@ -386,9 +423,9 @@ def window_check(space: LadderSpace, win: Window,
     # unioned at once into the overlap equivalence, which keeps a root per
     # point and an owner per limit point, not the orbit: orbits that meet
     # on a strand's suffix both hold its A.
-    _, frontier, *_ = win.index
+    phi, frontier, *_ = win.index
     nonfrontier = [i for i, edge in enumerate(frontier) if not edge]
-    addrs = win.addrs
+    addrs, heads = win.addrs, win.heads
     parent = list(range(len(addrs)))
     owner = [-1] * len(addrs)
 
@@ -398,9 +435,27 @@ def window_check(space: LadderSpace, win: Window,
             a = parent[a]
         return a
 
+    # the strand, by its A's id, of the last template claim audited in
+    # full, that point and its finds: a strand's ids are consecutive, so a
+    # later point of the strand finds it here
+    lead = -1, -1, []
     for x in nonfrontier:
+        addr = addrs[x]
+        claimed = ladder_aorb0_addr(space, addr)
+        a = heads[x]
+        template = a != x and _is_template(claimed, addrs[a], addr)
+        if template and lead[0] == a:
+            # the template's finds do not depend on the point, and its
+            # orbit's limit points are the first point's, merged already
+            _, point, finds = lead
+            report.checks_run += 1
+            _report(win, x, finds, report)
+            parent[x] = find(point)
+            continue
         orbit = base_orbit(win, x)
-        check_orbit_set(win, x, ladder_aorb0_addr(space, addrs[x]), orbit, report)
+        finds = check_orbit_set(win, x, claimed, orbit, report)
+        if template and phi[a] == a:
+            lead = a, x, finds
         root = x
         for e in orbit[0]:
             first = owner[e]

@@ -17,7 +17,7 @@ from fixfactor.ladder.sets import (
     backward_source,
     ladder_aorb0_addr,
 )
-from fixfactor.ladder.space import TOP, child_term
+from fixfactor.ladder.space import TOP, LadderSpace, child_term
 from fixfactor.ladder.terms import ramp_block_term, term_interior_merge, term_stab
 from fixfactor.ladder.trace import LadderTrace, SymPartition, class_key
 from fixfactor.ladder.window import (
@@ -439,9 +439,15 @@ def claim_mutants(w):
     claim: an orbit point's claim without its A, a forward tail one index
     late, the whole strand in place of a tail, top added, and, when the
     window has more than one strand, every tail moved to the next strand
-    and the next strand's A in place of an orbit point's own."""
+    and the next strand's A in place of an orbit point's own.  Then three
+    that are wrong at only some points of each strand, where a strand's
+    later points must not reuse its first template point's verdict: a tail
+    one late after the strand's first audited point (z = 1 - cut), a tail
+    one late at odd z, and the A left out at its last audited point
+    (z = cut - 1)."""
     paths = list(w.strands)
     after = dict(zip(paths, paths[1:] + paths[:1]))
+    c = w.strand_cut
 
     def without_a(out, a):
         if a[-1][0] == "z":
@@ -464,6 +470,18 @@ def claim_mutants(w):
         if a[-1][0] == "z":
             out.pts = {after[a[:-1]] + (("A",),)}
 
+    def late_after_first(out, a):
+        if a[-1][0] == "z" and a[-1][1] > 1 - c:
+            late(out, a)
+
+    def late_at_odd(out, a):
+        if a[-1][0] == "z" and a[-1][1] % 2:
+            late(out, a)
+
+    def without_a_at_last(out, a):
+        if a[-1] == ("z", c - 1):
+            without_a(out, a)
+
     def mutant(change):
         def claim(space, a):
             out = ladder_aorb0_addr(space, a).copy()
@@ -472,14 +490,16 @@ def claim_mutants(w):
         return claim
 
     # a window of one strand has no other strand to move a tail to
-    changes = (without_a, late, whole, with_top, *((moved, next_a) if len(paths) > 1 else ()))
+    changes = (without_a, late, whole, with_top, *((moved, next_a) if len(paths) > 1 else ()),
+               late_after_first, late_at_odd, without_a_at_last)
     return [mutant(change) for change in changes]
 
 
 @pytest.mark.parametrize("term,cuts", AUDIT_WINDOWS)
 def test_interval_audit_matches_the_per_point_audit(term, cuts, monkeypatch):
     # the audit in interval form against the per-point audit of address
-    # sets, on the real claims and on claims wrong at every point
+    # sets, on the real claims and on claims wrong at every point or at
+    # some points of each strand
     sp = build_ladder(term)
     w = window(sp, *cuts)
     tr = ladder_trace(sp, W2)
@@ -493,6 +513,56 @@ def test_interval_audit_matches_the_per_point_audit(term, cuts, monkeypatch):
         assert rep.violations, claim
         assert rep.violations == reference_audit(w, claim)
         assert rep.checks_run == checks
+
+
+def assert_orbit_points_have_their_strand_orbit(term, cuts):
+    # the fact the reuse of a strand's verdict rests on: off the frontier,
+    # an orbit point's orbit is its strand's closures[A] and the suffix from
+    # the point, and the A is fixed, so a template claim's finds are the
+    # same at every point of the strand
+    sp = build_ladder(term)
+    w = window(sp, *cuts)
+    phi, frontier, _, _, closures, _ = w.index
+    for x, a in enumerate(w.heads):
+        if a != x and not frontier[x]:
+            assert phi[a] == a, w.addrs[a]
+            assert window_mod.base_orbit(w, x) == (closures[a], {a: x}), w.addrs[x]
+
+
+@pytest.mark.parametrize("term,cuts", AUDIT_WINDOWS)
+def test_orbit_points_have_their_strand_orbit(term, cuts):
+    assert_orbit_points_have_their_strand_orbit(term, cuts)
+
+
+def test_strand_orbit_test_catches_a_base_orbit_that_reads_the_point(monkeypatch):
+    def reads_the_point(win, x):
+        pts, tails = base_orbit(win, x)
+        addr = win.addrs[x]
+        return (pts | {x}, tails) if addr[-1][0] == "z" and addr[-1][1] > 0 else (pts, tails)
+
+    monkeypatch.setattr(window_mod, "base_orbit", reads_the_point)
+    for term, cuts in AUDIT_WINDOWS:
+        with pytest.raises(AssertionError):
+            assert_orbit_points_have_their_strand_orbit(term, cuts)
+
+
+def test_a_strand_whose_a_is_not_fixed_is_audited_point_by_point(monkeypatch):
+    # the invariance check of a template claim reads the A's image: sent
+    # onto z = 0 of its own strand, it escapes the claims of the points
+    # past z = 0 only, so no verdict is reused on that strand
+    phi = LadderSpace.phi
+
+    def a_onto_z0(self, addr):
+        return addr[:-1] + (("z", 0),) if addr[-1] == ("A",) else phi(self, addr)
+
+    monkeypatch.setattr(LadderSpace, "phi", a_onto_z0)
+    for term, cuts in (("strand", (3, 3)), ("cat(ramp)", (5, 6))):
+        sp = build_ladder(term)
+        w = window(sp, *cuts)
+        rep = window_check(sp, w, ladder_trace(sp, W2))
+        got = [v for v in rep.violations if v.startswith("aorb0(")]
+        assert got, term
+        assert got == reference_audit(w, ladder_aorb0_addr), term
 
 
 def assert_strand_points_share_the_strand_key(term, cuts):
