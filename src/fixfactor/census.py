@@ -5,20 +5,25 @@ induced preorder on the first n-1 points plus a consistent up/down profile
 for the last point.  Each preorder is paired with every monotone self-map.
 
 Up to isomorphism the enumeration is orderly.  It keeps a preorder only if
-it is the first of its class (named by the least relabeling of its
-up-masks), and on it only the maps that are lexicographically least among
-their conjugates under the preorder's automorphisms.  That is the first
-labeled copy of each system class, in enumeration order, and the other
-copies are never built.  :func:`canonical_form` is the definition-direct
-reference the generator is tested against.
+it is the first of its class: at that first member every relabeling of
+its up-masks is tried once, which marks the other members of the class
+as seen and lists the preorder's automorphisms, and a later member is
+skipped by one set lookup before its space is built.  On a kept preorder
+it keeps only the maps that are lexicographically least among their
+conjugates under the automorphisms.  That is the first labeled copy of
+each system class, in enumeration order, and the other copies are never
+built.  :func:`canonical_form` is the definition-direct reference the
+generator is tested against.
 
 The census builds one :class:`Analysis` per system (at least one point),
 runs the named theorem-level checks on it, and reports pass/fail counts
 with replayable counterexamples.  What the checks read from a system's
 space and trace partition, and not from its map, is one :class:`Facts`
 per (space, trace) in a run, shared by its systems with the verdicts of
-the ``SHARED_CHECKS``; ``stabilize``, the oracle and all that reads the
-map stay per system.
+the ``SHARED_CHECKS``, each mask's per-degree stability verdicts, and
+the finest absolutely stable partition of each set of absolutely stable
+masks; ``stabilize``, the oracle and all that reads the map stay per
+system.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Container, Iterator
 
 from .decomposition import (
     DegreeTrace,
@@ -47,7 +52,6 @@ from .stability import (
     finest_abs_stable_partition,
     invariant_core_reference,
     invariant_core_table,
-    stability_table,
 )
 from .topology import (
     FiniteSpace,
@@ -101,10 +105,13 @@ def _preorder_up_masks(n: int) -> Iterator[tuple[int, ...]]:
                 yield tuple(up)
 
 
-def enumerate_preorders(n: int) -> Iterator[FiniteSpace]:
+def enumerate_preorders(n: int, skip: Container = ()) -> Iterator[FiniteSpace]:
+    """The space of every preorder on n points whose up-mask vector is not
+    in ``skip`` at the time it comes up."""
     names = tuple(_POINT_NAMES[:n])
     for up in _preorder_up_masks(n):
-        yield space_from_up_masks(names, list(up))
+        if up not in skip:
+            yield space_from_up_masks(names, list(up))
 
 
 def monotone_maps(space: FiniteSpace) -> Iterator[SelfMap]:
@@ -172,17 +179,28 @@ def _relabelings(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def _preorder_class(up: tuple[int, ...], relabelings: list) -> tuple[tuple[int, ...], list]:
-    """The least relabeled up-mask vector of a preorder, which names its
-    isomorphism class, and its automorphisms but the identity as (g, g^-1)."""
-    key, aut = up, []
-    for g, inv, table in relabelings:
-        image = tuple(table[up[i]] for i in inv)  # image[g(i)] = g(up[i])
-        if image < key:
-            key = image
-        elif image == up:
-            aut.append((g, inv))
-    return key, aut
+def orderly_preorders(n: int) -> Iterator[tuple[FiniteSpace, list]]:
+    """The first labeled preorder of each isomorphism class, in enumeration
+    order, with its automorphisms but the identity as (g, g^-1).
+
+    Orderly generation (McKay, "Isomorph-free exhaustive generation", 1998):
+    at the first member of a class, every relabeling of its up-masks is
+    either an automorphism or another member, which goes into ``seen``.  So
+    a class is walked once, at its first member, and every later member
+    costs one set lookup, before its space is built.
+    """
+    seen: set[tuple[int, ...]] = set()
+    relabelings = _relabelings(n)
+    for space in enumerate_preorders(n, seen):
+        up = space.up
+        aut = []
+        for g, inv, table in relabelings:
+            image = tuple([table[up[i]] for i in inv])  # image[g(i)] = g(up[i])
+            if image == up:
+                aut.append((g, inv))
+            else:
+                seen.add(image)
+        yield space, aut
 
 
 def enumerate_systems(n: int, up_to_iso: bool = False) -> Iterator[FiniteSystem]:
@@ -196,19 +214,15 @@ def enumerate_systems(n: int, up_to_iso: bool = False) -> Iterator[FiniteSystem]
         )
 
     def systems() -> Iterator[FiniteSystem]:
-        # Orderly generation: the first copy of a system class lies on the
-        # first labeled preorder of its class, and among that preorder's maps
-        # it is the least conjugate g.m.g^-1 over g in Aut(P).  A labeled
-        # enumeration lists no automorphisms, so every map passes.
-        seen: set[tuple[int, ...]] = set()
-        relabelings = _relabelings(n) if up_to_iso else []
-        for space in enumerate_preorders(n):
-            aut: list = []
-            if up_to_iso:
-                key, aut = _preorder_class(space.up, relabelings)
-                if key in seen:
-                    continue
-                seen.add(key)
+        # The first copy of a system class lies on the first labeled preorder
+        # of its class, and among that preorder's maps it is the least
+        # conjugate g.m.g^-1 over g in Aut(P).  A labeled enumeration lists
+        # no automorphisms, so every map passes.
+        if up_to_iso:
+            spaces = orderly_preorders(n)
+        else:
+            spaces = ((space, []) for space in enumerate_preorders(n))
+        for space, aut in spaces:
             for m in monotone_maps(space):
                 img = m.img
                 if all(img <= tuple(g[img[i]] for i in inv) for g, inv in aut):
@@ -267,13 +281,16 @@ class CensusReport:
 @dataclass(frozen=True)
 class Facts:
     """What the checks read from a space and a trace partition, not from a
-    map, each derived on first use, and the ``SHARED_CHECKS`` verdicts.
-    ``sys`` is the first system of the (space, trace); only the invariance
-    guard of ``quotient``, which all of its systems pass, reads its map."""
+    map, each derived on first use; the ``SHARED_CHECKS`` verdicts; and the
+    finest absolutely stable partition of each set of absolutely stable
+    masks met, keyed by that set as one int (bit m for mask m).  ``sys`` is
+    the first system of the (space, trace); only the invariance guard of
+    ``quotient``, which all of its systems pass, reads its map."""
 
     sys: FiniteSystem
     trace: DegreeTrace
     verdicts: dict[str, str | None] = field(default_factory=dict)
+    finest: dict[int, Partition] = field(default_factory=dict)
 
     @functools.cached_property
     def values(self) -> list[list[int]]:
@@ -281,6 +298,14 @@ class Facts:
         successor step of every mask, read off the open, closure and
         saturation tables."""
         return [degree_value_table(self.sys, p) for _, p in self.trace.entries[:-1]]
+
+    @functools.cached_property
+    def degree_verdicts(self) -> tuple[tuple[bool, ...], ...]:
+        """``stable_degree_verdicts`` of every mask, indexed by the mask: a
+        mask is stable at a degree when its value there is itself."""
+        values = self.values
+        return tuple(tuple([v[mask] == mask for v in values])
+                     for mask in range(self.sys.space.full_mask + 1))
 
     @functools.cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
@@ -322,6 +347,11 @@ class Analysis:
         return aorb0_masks(self.sys)
 
     @functools.cached_property
+    def core(self) -> tuple[int, ...]:
+        """``invariant_core_table`` of the system."""
+        return invariant_core_table(self.sys)
+
+    @functools.cached_property
     def prolongations(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(D1, D2) of each point, read off the closure and orbit tables:
         D1 is cl(orbit(U_i)), D2 the closure of the union of its iterated
@@ -341,12 +371,23 @@ class Analysis:
 
     @functools.cached_property
     def stability(self) -> StabilityTable:
-        """Plain stability and the per-degree verdicts of each nonempty mask."""
-        return stability_table(self.sys, self.trace, self.facts.values)
+        """Plain stability and the per-degree verdicts of each nonempty mask:
+        ``stability_table``, with the verdicts of the facts."""
+        core, verdicts = self.core, self.facts.degree_verdicts
+        return {mask: (core[mask] == mask, verdicts[mask]) for mask in range(1, len(core))}
 
     @functools.cached_property
     def finest(self) -> Partition:
-        return finest_abs_stable_partition(self.sys, stability=self.stability)
+        """``finest_abs_stable_partition``, a function of the set of
+        absolutely stable masks alone, found once per set in the facts."""
+        key = 0
+        for mask, (plain, verdicts) in self.stability.items():
+            if plain and all(verdicts):
+                key |= 1 << mask
+        memo = self.facts.finest
+        if key not in memo:
+            memo[key] = finest_abs_stable_partition(self.sys, stability=self.stability)
+        return memo[key]
 
 
 def analyze(sys: FiniteSystem, memo: dict | None = None) -> Analysis:
@@ -569,7 +610,7 @@ def check_plain_containment_probe(a: Analysis) -> str | None:
 def check_invariant_core_reference(a: Analysis) -> str | None:
     sys = a.sys
     want = invariant_core_reference(sys)
-    got = invariant_core_table(sys)
+    got = a.core
     for mask in range(1, sys.space.full_mask + 1):
         if got[mask] != want[mask]:
             return f"invariant core of {sys.space.names(mask)} differs from reference"

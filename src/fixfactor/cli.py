@@ -222,6 +222,21 @@ def _emit(data, args) -> None:
         print(text)
 
 
+def _refuse_bad_out(out: str | None) -> None:
+    """Refuse an ``--out`` path that cannot be written, before any work:
+    an empty value, a directory, or a path whose parent is not a
+    directory (missing, or a file)."""
+    if out is None:
+        return
+    if out == "":  # not Path(""), the working directory
+        raise OSError("--out: an empty value names no file")
+    path = Path(out)
+    if path.is_dir():
+        raise OSError(f"--out: {path} is a directory")
+    if not path.parent.is_dir():
+        raise OSError(f"--out: {path.parent} is not a directory")
+
+
 def cmd_decompose(args) -> int:
     sys_ = load_system(args.system)
     if args.format == "dot":
@@ -447,6 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        _refuse_bad_out(args.out)
         return args.fn(args)
     except FixfactorError as e:
         print(f"error[{e.code}]: {e.message}", file=sys.stderr)

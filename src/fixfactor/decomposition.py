@@ -305,31 +305,28 @@ def reference_intersection(sys: FiniteSystem, mode: str,
     if space.n > bound:
         raise SizeLimitError(f"{space.n} points exceeds enumeration bound {bound}")
     acc = [space.full_mask] * space.n
-    closure = space.closure_table
     if mode == "base":
         image = sys.map.image_table
-        for cand in range(1 << space.n):
-            if closure[cand] != cand or image[cand] & ~cand:
+        for cand, nbhd_of in space.closed_interiors:
+            if image[cand] & ~cand:
                 continue
-            for i in _iter_bits(cand):
-                if space.up[i] & ~cand == 0:  # a neighborhood of point i
-                    acc[i] &= cand
+            for i in nbhd_of:
+                acc[i] &= cand
         return tuple(acc)
     if mode == "succ":
         if p is None:
             raise CoverError("mode 'succ' needs a partition")
-        opened, sat = space.open_table, p.saturate_table
-        closed_saturated = [sup for sup in range(1 << space.n)
-                            if closure[sup] == sup and sat[sup] == sup]
-        for cand in range(1 << space.n):
-            if opened[cand] != cand or sat[cand] != cand:
+        sat = p.saturate_table
+        closed_saturated = [sup for sup, _ in space.closed_interiors if sat[sup] == sup]
+        for cand, members in space.open_members:
+            if sat[cand] != cand:
                 continue
             # least closed saturated superset, itself by enumeration
             best = space.full_mask
             for sup in closed_saturated:
                 if sup & cand == cand:
                     best &= sup
-            for i in _iter_bits(cand):
+            for i in members:
                 acc[i] &= best
         return tuple(acc)
     raise CoverError(f"unknown mode {mode!r}")
@@ -531,12 +528,10 @@ def prolongation_reference(sys: FiniteSystem) -> tuple[tuple[int, ...], tuple[in
     if space.n > REFERENCE_BOUND:
         raise SizeLimitError(
             f"{space.n} points exceeds enumeration bound {REFERENCE_BOUND}")
-    closure, orbit, opened = space.closure_table, sys.map.orbit_table, space.open_table
+    closure, orbit = space.closure_table, sys.map.orbit_table
     d1 = [space.full_mask] * space.n
     d2 = [space.full_mask] * space.n
-    for cand in range(1, 1 << space.n):
-        if opened[cand] != cand:
-            continue
+    for cand, members in space.open_members:
         first = closure[orbit[cand]]
         union = 0
         cur = first
@@ -544,7 +539,7 @@ def prolongation_reference(sys: FiniteSystem) -> tuple[tuple[int, ...], tuple[in
             union |= cur
             cur = closure[orbit[cur]]
         second = closure[union]
-        for i in _iter_bits(cand):
+        for i in members:
             d1[i] &= first
             d2[i] &= second
     return tuple(d1), tuple(d2)

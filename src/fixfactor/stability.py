@@ -59,25 +59,19 @@ def invariant_core_reference(sys: FiniteSystem) -> tuple[int, ...]:
     enumerating invariant neighborhoods.
 
     Each invariant candidate is intersected into every mask inside its
-    interior (the masks it is a neighborhood of) by a walk over the
-    interior's submasks.
+    interior (the masks it is a neighborhood of), which the space lists.
     """
     space = sys.space
     if space.n > REFERENCE_BOUND:
         raise SizeLimitError(
             f"{space.n} points exceeds enumeration bound {REFERENCE_BOUND}")
-    closure, image, full = space.closure_table, sys.map.image_table, space.full_mask
-    acc = [full] * (1 << space.n)
-    for cand in range(1 << space.n):
+    image = sys.map.image_table
+    acc = [space.full_mask] * (1 << space.n)
+    for cand, subs in enumerate(space.interior_submasks):
         if image[cand] & ~cand:
             continue
-        # the interior is the complement of the closure of the complement
-        interior = sub = full & ~closure[full & ~cand]
-        while True:
+        for sub in subs:
             acc[sub] &= cand
-            if not sub:
-                break
-            sub = (sub - 1) & interior
     return tuple(acc)
 
 
@@ -123,15 +117,12 @@ def degree_value_table(sys: FiniteSystem, p: Partition) -> list[int]:
 StabilityTable = dict[int, tuple[bool, tuple[bool, ...]]]
 
 
-def stability_table(sys: FiniteSystem, trace: DegreeTrace,
-                    values: list[list[int]] | None = None) -> StabilityTable:
+def stability_table(sys: FiniteSystem, trace: DegreeTrace) -> StabilityTable:
     """For every nonempty mask, whether it is plainly stable and its
-    ``stable_degree_verdicts``; absolutely stable means both hold.
-    ``values`` are the ``degree_value_table`` of each non-final trace
-    entry, built here when not given."""
+    ``stable_degree_verdicts``, read off the ``degree_value_table`` of each
+    non-final trace entry; absolutely stable means both hold."""
     core = invariant_core_table(sys)
-    if values is None:
-        values = [degree_value_table(sys, p) for _, p in trace.entries[:-1]]
+    values = [degree_value_table(sys, p) for _, p in trace.entries[:-1]]
     return {mask: (core[mask] == mask, tuple(v[mask] == mask for v in values))
             for mask in range(1, sys.space.full_mask + 1)}
 

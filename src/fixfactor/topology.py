@@ -103,6 +103,37 @@ class FiniteSpace:
         """Least open superset of every mask, indexed by the mask."""
         return union_table(self.up)
 
+    @functools.cached_property
+    def closed_interiors(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Every closed mask, ascending, with the points it is a
+        neighborhood of: those whose minimal open set lies inside it."""
+        up, closure = self.up, self.closure_table
+        return tuple((cand, tuple(i for i in _iter_bits(cand) if up[i] & ~cand == 0))
+                     for cand in range(1 << self.n) if closure[cand] == cand)
+
+    @functools.cached_property
+    def open_members(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Every nonempty open mask, ascending, with its points."""
+        opened = self.open_table
+        return tuple((cand, tuple(_iter_bits(cand)))
+                     for cand in range(1, 1 << self.n) if opened[cand] == cand)
+
+    @functools.cached_property
+    def interior_submasks(self) -> tuple[tuple[int, ...], ...]:
+        """The submasks of the interior of every mask, indexed by the mask:
+        the masks it is a neighborhood of.  The interior is the complement
+        of the closure of the complement."""
+        closure, full = self.closure_table, self.full_mask
+        out = []
+        for cand in range(1 << self.n):
+            interior = sub = full & ~closure[full & ~cand]
+            subs = [sub]
+            while sub:
+                sub = (sub - 1) & interior
+                subs.append(sub)
+            out.append(tuple(subs))
+        return tuple(out)
+
     def interior_mask(self, mask: int) -> int:
         out = 0
         for i in _iter_bits(mask):
@@ -190,8 +221,16 @@ class SelfMap:
     @functools.cached_property
     def orbit_table(self) -> tuple[int, ...]:
         """``orbit_mask`` of every mask, indexed by the mask: the orbit of a
-        union is the union of the orbits."""
-        return union_table(self.orbit_mask(1 << i) for i in range(self.space.n))
+        union is the union of the orbits, and the orbit of a point is its
+        walk along the map until the walk repeats a point."""
+        img, gens = self.img, []
+        for i in range(len(img)):
+            out, j = 1 << i, img[i]
+            while not out >> j & 1:
+                out |= 1 << j
+                j = img[j]
+            gens.append(out)
+        return union_table(gens)
 
 
 @dataclass(frozen=True)

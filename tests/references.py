@@ -5,7 +5,7 @@ import itertools
 import random
 import re
 
-from fixfactor.census import _POINT_NAMES, monotone_maps
+from fixfactor.census import _POINT_NAMES, _relabelings, enumerate_preorders, monotone_maps
 from fixfactor.decomposition import Partition
 from fixfactor.errors import ContinuityError, InternalError, LocatorError, SizeLimitError
 from fixfactor.ladder.sets import StrandProfile, SymbolicSet, ladder_aorb0_addr
@@ -35,6 +35,32 @@ def count_preorders_bruteforce(n: int) -> int:
                 break
         count += ok
     return count
+
+
+def preorder_class(up: tuple[int, ...], relabelings: list) -> tuple[tuple[int, ...], list]:
+    """The least relabeled up-mask vector of a preorder, which names its
+    isomorphism class, and its automorphisms but the identity as (g, g^-1)."""
+    key, aut = up, []
+    for g, inv, table in relabelings:
+        image = tuple(table[up[i]] for i in inv)  # image[g(i)] = g(up[i])
+        if image < key:
+            key = image
+        elif image == up:
+            aut.append((g, inv))
+    return key, aut
+
+
+def reference_orderly_preorders(n: int):
+    """The up-masks and automorphisms of the first labeled preorder of each
+    class, by the earlier generator that names every labeled preorder's
+    class by its least relabeling."""
+    seen = set()
+    relabelings = _relabelings(n)
+    for space in enumerate_preorders(n):
+        key, aut = preorder_class(space.up, relabelings)
+        if key not in seen:
+            seen.add(key)
+            yield space.up, aut
 
 
 def reference_monotone_maps(space):

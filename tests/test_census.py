@@ -2,21 +2,28 @@ import itertools
 
 import pytest
 
-from fixfactor import census
+from fixfactor import census, stability
 from fixfactor.census import (
     canonical_form,
     census_failures,
     enumerate_preorders,
     enumerate_systems,
     monotone_maps,
+    orderly_preorders,
     run_census,
 )
 from fixfactor.decomposition import Partition, stabilize
 from fixfactor.errors import SizeLimitError, UnknownNameError
+from fixfactor.stability import finest_abs_stable_partition, stability_table
 from fixfactor.systems import sierpinski
 from fixfactor.topology import system_payload
 import pins
-from references import count_preorders_bruteforce, random_systems, reference_monotone_maps
+from references import (
+    count_preorders_bruteforce,
+    random_systems,
+    reference_monotone_maps,
+    reference_orderly_preorders,
+)
 
 
 def test_preorder_counts_match_known_sequence():
@@ -98,13 +105,22 @@ def test_orderly_generation_matches_canonical_form_dedupe(n):
     assert got == list(reference_iso_systems(n))  # same systems, labels, order
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_walk_keeps_the_preorders_of_the_least_relabeling(n):
+    # the same kept preorders, in the same order, with the same automorphisms
+    got = [(space.up, aut) for space, aut in orderly_preorders(n)]
+    assert got == list(reference_orderly_preorders(n))
+
+
 def test_orderly_generation_counts_up_to_five_points():
     classes = [list(enumerate_systems(n, up_to_iso=True)) for n in range(1, 6)]
     # 13,290 is also the count of distinct canonical forms over all
     # 1,326,310 labeled 5-point systems
     assert len(classes[4]) == 13290
-    # each preorder class appears once (OEIS A001930)
+    # each preorder class appears once (OEIS A001930), and at six points
+    # the orbit walk alone counts them
     assert [len({s.space.up for s in c}) for c in classes] == [1, 3, 9, 33, 139]
+    assert sum(1 for _ in orderly_preorders(6)) == 718
 
 
 def test_census_n2_all_asserted_pass():
@@ -324,3 +340,32 @@ def test_no_facts_outlive_a_run(monkeypatch):
     report = run_census(3, checks=census.ALL_CHECK_NAMES)
     assert failed_checks(report) == {"definition-direct", "quotient-neighborhood",
                                      "stabilization-degree-0", "containment-lemma"}
+
+
+# The census derives each mask's per-degree stability verdicts once per
+# facts, and the finest absolutely stable partition once per set of
+# absolutely stable masks.  That must give what the unshared tables give,
+# also where a mutant changes them.
+
+@pytest.mark.parametrize("mutant", [
+    None,
+    aorb0_without_closure,
+    value_table_without_saturation,
+    core_without_the_orbit,
+    saturation_to_everything,
+])
+def test_shared_stability_and_finest_match_the_unshared_tables(monkeypatch, mutant):
+    if mutant is not None:
+        mutant(monkeypatch)
+    # the unshared tables read the same, possibly mutated, helpers as the census
+    for name in ("degree_value_table", "invariant_core_table"):
+        monkeypatch.setattr(stability, name, getattr(census, name))
+    for n, up_to_iso in ((3, False), (4, True)):
+        memo, facts = {}, {}
+        for sys_ in enumerate_systems(n, up_to_iso):
+            a = census.analyze(sys_, memo)
+            assert a.stability == stability_table(sys_, stabilize(sys_))
+            assert a.finest == finest_abs_stable_partition(sys_)
+            facts[id(a.facts)] = a.facts
+        if up_to_iso and mutant is None:
+            assert sum(len(f.finest) for f in facts.values()) == 56

@@ -496,6 +496,35 @@ def test_census_refuses_a_counterexample_dir_before_the_run(capsys, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
+@pytest.mark.parametrize("out, err", [
+    ("missing/r.json", "error[E_IO]: --out: missing is not a directory"),
+    ("afile/r.json", "error[E_IO]: --out: afile is not a directory"),
+    ("adir", "error[E_IO]: --out: adir is a directory"),
+])
+@pytest.mark.parametrize("argv, work", [
+    (("census", "--points", "2", "--check", "all"), "fixfactor.census.run_census"),
+    (("window", "strand", "--check", "--system-out", "w.json"), "fixfactor.ladder.build_ladder"),
+    (("decompose", "{swap}"), "fixfactor.cli.load_system"),
+])
+def test_a_bad_out_path_is_refused_before_any_work(capsys, monkeypatch, tmp_path, swap_file,
+                                                   argv, work, out, err):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    (cwd / "afile").write_text("")
+    (cwd / "adir").mkdir()
+    monkeypatch.chdir(cwd)
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out {out!r} was refused")
+
+    monkeypatch.setattr(work, refused)
+    code = main([a.format(swap=swap_file) for a in argv] + ["--out", out])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err + "\n")
+    assert sorted(p.name for p in cwd.iterdir()) == ["adir", "afile"]
+    assert list((cwd / "adir").iterdir()) == []
+
+
 # ------------------------------------------------ the parser is built once
 
 

@@ -42,6 +42,14 @@ def assert_space_tables_match(space):
     masks = range(1 << space.n)
     assert space.closure_table == tuple(space.closure_mask(m) for m in masks)
     assert space.open_table == tuple(open_hull_loop(space, m) for m in masks)
+    points = range(space.n)
+    assert space.closed_interiors == tuple(
+        (m, tuple(i for i in points if m >> i & 1 and space.up[i] & ~m == 0))
+        for m in masks if space.is_closed_mask(m))
+    assert space.open_members == tuple(
+        (m, tuple(i for i in points if m >> i & 1)) for m in masks if m and space.is_open_mask(m))
+    assert space.interior_submasks == tuple(
+        tuple(s for s in reversed(masks) if s & ~space.interior_mask(m) == 0) for m in masks)
 
 
 def assert_map_tables_match(sys_):
@@ -133,6 +141,8 @@ def test_tables_refuse_above_the_reference_bound():
         union_table([1] * (REFERENCE_BOUND + 1))
     sys_ = discrete_cycle(REFERENCE_BOUND + 1)
     for table in (lambda: sys_.space.closure_table, lambda: sys_.space.open_table,
+                  lambda: sys_.space.closed_interiors, lambda: sys_.space.open_members,
+                  lambda: sys_.space.interior_submasks,
                   lambda: sys_.map.image_table, lambda: sys_.map.orbit_table,
                   lambda: Partition.identity(sys_.space).saturate_table):
         with pytest.raises(SizeLimitError):
@@ -147,4 +157,5 @@ def test_the_decomposition_builds_no_table():
     assert trace.stationary_partition.num_classes == 1
     for obj in (sys_.space, sys_.map, *(p for _, p in trace.entries)):
         assert not {"closure_table", "open_table", "image_table", "orbit_table",
-                    "saturate_table"} & set(vars(obj))
+                    "saturate_table", "closed_interiors", "open_members",
+                    "interior_submasks"} & set(vars(obj))
